@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .cohomology import _solve_exact, h0
+from .cohomology import h0
+from .curves import component_labels
+from .exact import bareiss, mat_vec
 from .lattice import DivisorClass, SurfaceConfiguration, intersect
 
 TABLE_CASES = ("p4", "p5", "p6")
@@ -306,72 +308,18 @@ class FeasibleConfiguration:
 
 
 def _incidence_patterns(n: int):
-    """Graphs on n nodes with 0/1 pairings whose (-2)-Gram is negative definite."""
+    """Graphs on n nodes with 0/1 pairings whose (-2)-Gram G is negative
+    definite, i.e. every leading minor of -G is positive; each comes with the
+    adjugate and determinant of -G."""
     pairs = list(itertools.combinations(range(n), 2))
     for bits in itertools.product((0, 1), repeat=len(pairs)):
         edges = tuple(p for p, b in zip(pairs, bits) if b)
-        gram = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+        neg = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
         for i, j in edges:
-            gram[i][j] = 1
-            gram[j][i] = 1
-        if _is_negative_definite(gram):
-            yield edges, gram
-
-
-def _is_negative_definite(gram: list[list[int]]) -> bool:
-    n = len(gram)
-    # Leading principal minors of -G must all be positive.
-    neg = [[-x for x in row] for row in gram]
-    for k in range(1, n + 1):
-        if _det([row[:k] for row in neg[:k]]) <= 0:
-            return False
-    return True
-
-
-def _det(m: list[list[Fraction | int]]) -> Fraction:
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        pv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / pv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-def _component_labels(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[str, ...]:
-    adjacency = {i: set() for i in range(n)}
-    for i, j in edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    labels = []
-    unseen = set(range(n))
-    while unseen:
-        stack = [unseen.pop()]
-        size = 1
-        is_chain = True
-        component = {stack[0]}
-        while stack:
-            node = stack.pop()
-            if len(adjacency[node]) > 2:
-                is_chain = False
-            for other in adjacency[node]:
-                if other in unseen:
-                    unseen.remove(other)
-                    component.add(other)
-                    size += 1
-                    stack.append(other)
-        labels.append(f"A{size}" if is_chain else f"D{size}")
-    return tuple(sorted(labels))
+            neg[i][j] = neg[j][i] = -1
+        minors, adj = bareiss(neg)
+        if all(m > 0 for m in minors):
+            yield edges, adj, minors[-1]
 
 
 def preimage_configuration_search(chain_bound: int, target_sq: Fraction | int,
@@ -389,28 +337,24 @@ def preimage_configuration_search(chain_bound: int, target_sq: Fraction | int,
         raise ValueError("the search is for non-positive or fractional targets")
     found: dict[tuple[tuple[str, ...], tuple[tuple[int, int], ...]], FeasibleConfiguration] = {}
     for n in range(0, chain_bound + 1):
-        for edges, gram in _incidence_patterns(n):
-            key_edges = _canonical_edges(n, edges)
+        for edges, adj, det in _incidence_patterns(n):
+            key = (component_labels(n, edges), _canonical_edges(n, edges))
             for ks in itertools.product(range(0, pairing_bound + 1), repeat=n):
-                xs = _solve_exact([[-g for g in row] for row in gram], list(ks)) if n else []
-                if xs is None:
+                # -G x = ks, so x = adj * ks / det with det > 0.
+                ys = mat_vec(adj, ks)
+                if any(y <= 0 for y in ys):
                     continue
-                if any(x <= 0 for x in xs):
-                    continue
-                correction = sum((x * k for x, k in zip(xs, ks)), Fraction(0))
-                e_sq = target - correction
+                e_sq = target - Fraction(sum(y * k for y, k in zip(ys, ks)), det)
                 if e_sq.denominator != 1 or int(e_sq) % 2 != 0:
                     continue
-                labels = _component_labels(n, edges)
-                key = (labels, key_edges)
                 if key not in found:
                     found[key] = FeasibleConfiguration(
-                        components=labels,
-                        edges=key_edges,
+                        components=key[0],
+                        edges=key[1],
                         curve_count=n,
                         witness_pairings=tuple(ks),
                         witness_e_sq=int(e_sq),
-                        witness_coefficients=tuple(Fraction(x) for x in xs),
+                        witness_coefficients=tuple(Fraction(y, det) for y in ys),
                     )
     return sorted(found.values(), key=lambda f: (f.curve_count, f.components, f.edges))
 

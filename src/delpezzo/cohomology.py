@@ -10,7 +10,6 @@ weak del Pezzo surface).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .lattice import (
     MINUS_K,
@@ -21,7 +20,8 @@ from .lattice import (
     anticanonical_class,
     intersect,
 )
-from .curves import minus_two_curves, negative_curve_classes
+from .curves import minus_two_curves, minus_two_gram_adjugate, negative_curve_classes
+from .exact import mat_vec
 
 REDUCTION_CAP = 10_000
 
@@ -59,39 +59,18 @@ def _reduce_to_nef(d: DivisorClass, cfg: SurfaceConfiguration, trace: ReductionT
 
 
 def _is_nonnegative_minus_two_combination(d: DivisorClass, cfg: SurfaceConfiguration) -> bool:
-    """Solve d = sum(n_T * T) over the (-2)-curves; the T are independent."""
+    """Solve d = sum(n_T * T) over the (-2)-curves; the T are independent.
+
+    Pairing with each T gives G n = (d.T), so n = adj * (d.T) / det.
+    """
     thetas = [t.cls for t in minus_two_curves(cfg)]
-    if not thetas:
-        return d.is_zero()
-    # Gram system: pairing with each theta determines the coefficients.
-    n = len(thetas)
-    gram = [[intersect(a, b) for b in thetas] for a in thetas]
-    rhs = [intersect(d, t) for t in thetas]
-    coeffs = _solve_exact(gram, rhs)
-    if coeffs is None or any(x < 0 or x.denominator != 1 for x in coeffs):
-        return False
+    adj, det = minus_two_gram_adjugate(cfg)
     combo = d
-    for x, t in zip(coeffs, thetas):
-        combo = combo - int(x) * t
+    for y, theta in zip(mat_vec(adj, [intersect(d, t) for t in thetas]), thetas):
+        if y % det or y // det < 0:
+            return False
+        combo = combo - (y // det) * theta
     return combo.is_zero()
-
-
-def _solve_exact(matrix: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """Gaussian elimination over the rationals; None if singular."""
-    n = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 def h0_with_trace(d: DivisorClass, cfg: SurfaceConfiguration) -> ReductionTrace:

@@ -9,14 +9,14 @@ unique rational solution.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohomology import _solve_exact
-from .curves import minus_two_curves
+from .curves import component_labels, minus_two_curves, minus_two_gram_adjugate
+from .exact import mat_vec
 from .lattice import (
     DivisorClass,
-    InternalFaultError,
     QDivisorClass,
     SurfaceConfiguration,
     intersect,
@@ -39,19 +39,17 @@ class SigmaClass:
 
 
 def mumford_pullback(s: SigmaClass) -> QDivisorClass:
-    """The Q-class upstairs pairing 0 with every (-2)-curve of the configuration."""
+    """The Q-class upstairs pairing 0 with every (-2)-curve of the configuration.
+
+    Its coefficients x solve G x = -(rep.T), so det * pullback is the integer
+    class det * rep - sum(y_i * T_i) with y = adj * (rep.T).
+    """
     thetas = [t.cls for t in minus_two_curves(s.cfg)]
-    result = s.rep.as_q()
-    if not thetas:
-        return result
-    gram = [[intersect(a, b) for b in thetas] for a in thetas]
-    rhs = [-intersect(s.rep, t) for t in thetas]
-    coeffs = _solve_exact(gram, rhs)
-    if coeffs is None:
-        raise InternalFaultError("(-2) Gram matrix is singular")
-    for x, theta in zip(coeffs, thetas):
-        result = result + x * theta
-    return result
+    adj, det = minus_two_gram_adjugate(s.cfg)
+    scaled = [det * c for c in s.rep.coeffs]
+    for y, theta in zip(mat_vec(adj, [intersect(s.rep, t) for t in thetas]), thetas):
+        scaled = [a - y * b for a, b in zip(scaled, theta.coeffs)]
+    return QDivisorClass(tuple(Fraction(a, det) for a in scaled))
 
 
 def sigma_intersect(s: SigmaClass, t: SigmaClass) -> int | Fraction:
@@ -62,19 +60,10 @@ def sigma_intersect(s: SigmaClass, t: SigmaClass) -> int | Fraction:
 
 
 def singularity_types(cfg: SurfaceConfiguration) -> tuple[str, ...]:
-    """ADE labels of the contracted points: connected (-2)-chains give A_k."""
+    """ADE labels of the contracted points, one per connected (-2)-configuration."""
     thetas = [t.cls for t in minus_two_curves(cfg)]
-    labels = []
-    unseen = set(range(len(thetas)))
-    while unseen:
-        stack = [unseen.pop()]
-        component = {stack[0]}
-        while stack:
-            i = stack.pop()
-            for j in list(unseen):
-                if intersect(thetas[i], thetas[j]) != 0:
-                    unseen.remove(j)
-                    component.add(j)
-                    stack.append(j)
-        labels.append(f"A{len(component)}")
-    return tuple(sorted(labels))
+    edges = tuple(
+        (i, j) for i, j in itertools.combinations(range(len(thetas)), 2)
+        if intersect(thetas[i], thetas[j]) != 0
+    )
+    return component_labels(len(thetas), edges)

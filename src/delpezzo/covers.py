@@ -26,6 +26,7 @@ from .lattice import (
     class_from_json,
     get_configuration,
     intersect,
+    rational_from_json,
     riemann_roch_chi,
 )
 
@@ -185,15 +186,6 @@ def surface_numerology(chi: int, k_sq: int) -> SurfaceNumerology:
 # Scenario files
 # ---------------------------------------------------------------------------
 
-def _rational_from_json(x) -> Rational:
-    if isinstance(x, str):
-        num, _, den = x.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    if isinstance(x, int):
-        return x
-    raise ValueError(f"exact integer or \"p/q\" string required, got {x!r}")
-
-
 def load_scenario(path: str | Path):
     """Load a JSON scenario: kind double_cover (single or family) or bidouble."""
     raw = json.loads(Path(path).read_text())
@@ -219,9 +211,9 @@ def _double_cover_from_json(obj: dict, defaults: dict) -> DoubleCoverScenario:
         bound = (cls, cfg)
     return DoubleCoverScenario(
         chi_base=get("chi_base"),
-        m_dot_k=_rational_from_json(get("m_dot_k")),
-        m_sq=_rational_from_json(get("m_sq")),
-        k_plus_m_sq=_rational_from_json(get("k_plus_m_sq")),
+        m_dot_k=rational_from_json(get("m_dot_k")),
+        m_sq=rational_from_json(get("m_sq")),
+        k_plus_m_sq=rational_from_json(get("k_plus_m_sq")),
         pg_bound_class=bound,
         label=obj.get("label", defaults.get("label", "")),
     )

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+from .exact import Matrix, bareiss
 from .lattice import (
     E,
     K,
     L,
     DivisorClass,
+    InternalFaultError,
     SurfaceConfiguration,
     intersect,
 )
@@ -77,6 +79,42 @@ def minus_two_curves(cfg: SurfaceConfiguration) -> tuple[NegativeCurve, ...]:
             classes.append(E[a - 1] - E[b - 1])
     classes.sort(key=_sort_key)
     return tuple(NegativeCurve(c, CurveKind.MINUS_TWO) for c in classes)
+
+
+@lru_cache(maxsize=None)
+def minus_two_gram_adjugate(cfg: SurfaceConfiguration) -> tuple[Matrix, int]:
+    """Adjugate and determinant of the Gram matrix of minus_two_curves(cfg).
+
+    The Gram matrix is negative definite, so the determinant is non-zero and
+    the system G x = b has the solution adj * b / det.
+    """
+    thetas = [t.cls for t in minus_two_curves(cfg)]
+    minors, adj = bareiss([[intersect(a, b) for b in thetas] for a in thetas])
+    if adj is None:
+        raise InternalFaultError("(-2) Gram matrix is singular")
+    return adj, minors[-1]
+
+
+def component_labels(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[str, ...]:
+    """ADE labels of the connected components of a (-2)-graph on nodes 0..n-1:
+    a chain of k curves is A_k, a component with a branch node D_k."""
+    adjacency: list[set[int]] = [set() for _ in range(n)]
+    for i, j in edges:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    labels = []
+    unseen = set(range(n))
+    while unseen:
+        stack = [unseen.pop()]
+        component = set(stack)
+        while stack:
+            for other in adjacency[stack.pop()] & unseen:
+                unseen.remove(other)
+                component.add(other)
+                stack.append(other)
+        kind = "A" if all(len(adjacency[i]) <= 2 for i in component) else "D"
+        labels.append(f"{kind}{len(component)}")
+    return tuple(sorted(labels))
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
+from .exact import bareiss, mat_vec
+
 RANK = 5
 
 Coeff = Union[int, Fraction]
@@ -260,46 +262,23 @@ def _curve_to_standard_matrix(cfg: SurfaceConfiguration) -> tuple[tuple[int, ...
 
 @lru_cache(maxsize=None)
 def _standard_to_curve_matrix(cfg: SurfaceConfiguration) -> tuple[tuple[int, ...], ...]:
-    m = _curve_to_standard_matrix(cfg)
-    inv = _invert_unimodular(m)
-    return inv
-
-
-def _invert_unimodular(m: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of an integer matrix; result must be integral."""
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise InternalFaultError("singular basis-change matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    inv = tuple(tuple(a[i][n + j] for j in range(n)) for i in range(n))
-    if any(x.denominator != 1 for row in inv for x in row):
+    minors, adj = bareiss(_curve_to_standard_matrix(cfg))
+    det = minors[-1]
+    if adj is None or det not in (1, -1):
         raise InternalFaultError("basis-change matrix is not unimodular")
-    return tuple(tuple(int(x) for x in row) for row in inv)
-
-
-def _apply_matrix(m: tuple[tuple[int, ...], ...], v: Sequence[Coeff]) -> tuple[Coeff, ...]:
-    return tuple(sum(m[i][j] * v[j] for j in range(RANK)) for i in range(RANK))
+    return tuple(tuple(det * x for x in row) for row in adj)
 
 
 def to_curve_basis(d: AnyClass, cfg: SurfaceConfiguration) -> tuple[Coeff, ...]:
     """Coordinates of d in the basis (l, e1..e4) of actual curves."""
-    return _apply_matrix(_standard_to_curve_matrix(cfg), d.coeffs)
+    return mat_vec(_standard_to_curve_matrix(cfg), d.coeffs)
 
 
 def from_curve_basis(v: Sequence[Coeff], cfg: SurfaceConfiguration) -> AnyClass:
     """Class with curve-basis coordinates v, as a standard-basis class."""
     if len(v) != RANK:
         raise ValueError(f"need {RANK} coordinates, got {len(v)}")
-    coords = _apply_matrix(_curve_to_standard_matrix(cfg), tuple(v))
+    coords = mat_vec(_curve_to_standard_matrix(cfg), v)
     if all(isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1) for x in coords):
         return DivisorClass(tuple(int(x) for x in coords))
     return QDivisorClass(tuple(Fraction(x) for x in coords))
@@ -383,13 +362,15 @@ def _coeff_to_json(c: Coeff):
     return int(c)
 
 
-def _coeff_from_json(x) -> Coeff:
+def rational_from_json(x) -> Coeff:
+    """An exact JSON number: an integer or a "p/q" string; floats and booleans
+    are rejected."""
     if isinstance(x, str):
         num, _, den = x.partition("/")
         return Fraction(int(num), int(den) if den else 1)
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
-    raise ValueError(f"bad coefficient {x!r} (floats are not accepted)")
+    raise ValueError(f"exact integer or \"p/q\" string required, got {x!r}")
 
 
 def class_to_json(d: AnyClass, cfg: SurfaceConfiguration, basis: str = "standard") -> dict:
@@ -405,7 +386,7 @@ def class_to_json(d: AnyClass, cfg: SurfaceConfiguration, basis: str = "standard
 
 def class_from_json(obj: dict) -> tuple[AnyClass, SurfaceConfiguration]:
     cfg = get_configuration(obj.get("config", "GENERAL"))
-    coords = [_coeff_from_json(x) for x in obj["coeffs"]]
+    coords = [rational_from_json(x) for x in obj["coeffs"]]
     basis = obj.get("basis", "standard")
     if basis == "curve":
         return from_curve_basis(coords, cfg), cfg

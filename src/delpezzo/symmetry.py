@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .covers import BidoubleData
 from .curves import ALL_MINUS_ONE_CLASSES
+from .exact import Matrix, mat_mul, mat_vec
 from .lattice import (
     E,
     K,
@@ -23,8 +24,6 @@ from .lattice import (
     InternalFaultError,
     intersect,
 )
-
-Matrix = tuple[tuple[int, ...], ...]
 
 GROUP_CAP = 1000
 
@@ -41,13 +40,6 @@ def _columns_to_matrix(images: list[DivisorClass]) -> Matrix:
     return tuple(tuple(images[j].coeffs[i] for j in range(5)) for i in range(5))
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(5)) for j in range(5))
-        for i in range(5)
-    )
-
-
 @dataclass(frozen=True)
 class LatticeAutomorphism:
     """Integer 5x5 matrix acting on standard-basis coefficient vectors."""
@@ -56,24 +48,20 @@ class LatticeAutomorphism:
     name: str = ""
 
     def __post_init__(self):
-        transpose = tuple(tuple(self.matrix[j][i] for j in range(5)) for i in range(5))
-        if _mat_mul(_mat_mul(transpose, _GRAM), self.matrix) != _GRAM:
+        if not self.preserves_gram():
             raise ValueError(f"matrix does not preserve the intersection form: {self.matrix}")
         if self.apply(K) != K:
             raise ValueError("automorphism must fix the canonical class")
 
     def apply(self, d: DivisorClass) -> DivisorClass:
-        return DivisorClass(
-            tuple(sum(self.matrix[i][j] * d.coeffs[j] for j in range(5)) for i in range(5))
-        )
+        return DivisorClass(mat_vec(self.matrix, d.coeffs))
 
     def compose(self, other: "LatticeAutomorphism") -> "LatticeAutomorphism":
         """self after other (matrix product)."""
-        return LatticeAutomorphism(_mat_mul(self.matrix, other.matrix))
+        return LatticeAutomorphism(mat_mul(self.matrix, other.matrix))
 
     def preserves_gram(self) -> bool:
-        transpose = tuple(tuple(self.matrix[j][i] for j in range(5)) for i in range(5))
-        return _mat_mul(_mat_mul(transpose, _GRAM), self.matrix) == _GRAM
+        return mat_mul(mat_mul(tuple(zip(*self.matrix)), _GRAM), self.matrix) == _GRAM
 
 
 IDENTITY = LatticeAutomorphism(_columns_to_matrix([L, *E]), name="id")

@@ -145,6 +145,17 @@ def test_malformed_scenario_exits_3(tmp_path, capsys):
     assert "broken.json" in err
 
 
+def test_boolean_in_scenario_exits_3(tmp_path, capsys):
+    path = resources.files("delpezzo.data").joinpath("scenarios/cover_disjoint_minus4_pair.json")
+    scenario = json.loads(path.read_text())
+    scenario["m_dot_k"] = True
+    bad = tmp_path / "boolean.json"
+    bad.write_text(json.dumps(scenario))
+    code, _, err = invoke(capsys, "cover", "--scenario", str(bad))
+    assert code == 3
+    assert "True" in err
+
+
 def test_missing_scenario_exits_3(tmp_path, capsys):
     code, _, _ = invoke(capsys, "cover", "--scenario", str(tmp_path / "nope.json"))
     assert code == 3

@@ -5,6 +5,7 @@ import pytest
 from delpezzo.curves import (
     ALL_MINUS_ONE_CLASSES,
     CurveKind,
+    component_labels,
     incidence_graph,
     is_irreducible,
     lattice_roots,
@@ -190,3 +191,16 @@ def test_negative_curve_kind_validation():
         from delpezzo.curves import NegativeCurve
 
         NegativeCurve(L, CurveKind.MINUS_ONE)
+
+
+@pytest.mark.parametrize("n, edges, expected", [
+    (0, (), ()),
+    (1, (), ("A1",)),
+    (4, ((0, 1), (1, 2), (2, 3)), ("A4",)),
+    (4, ((2, 0), (3, 1), (0, 1)), ("A4",)),
+    (5, ((0, 1), (3, 4)), ("A1", "A2", "A2")),
+    (4, ((0, 1), (0, 2), (0, 3)), ("D4",)),
+    (6, ((0, 1), (1, 2), (1, 3), (3, 4)), ("A1", "D5")),
+])
+def test_component_labels(n, edges, expected):
+    assert component_labels(n, edges) == expected

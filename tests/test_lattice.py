@@ -216,6 +216,11 @@ def test_json_rejects_floats():
         class_from_json({"coeffs": [1.5, 0, 0, 0, 0], "basis": "standard", "config": "GENERAL"})
 
 
+def test_json_rejects_booleans():
+    with pytest.raises(ValueError):
+        class_from_json({"coeffs": [True, 0, 0, 0, 0], "basis": "standard", "config": "GENERAL"})
+
+
 def test_q_class_rejects_floats():
     with pytest.raises(TypeError):
         QDivisorClass((1.5, 0, 0, 0, 0))
