@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -71,6 +72,20 @@ class ConstraintSystem:
 
     def quadratic_rhs(self, l_sq: int, l_dot_e: int, e_sq: int) -> Fraction:
         return Fraction(10) - 2 * l_sq - 2 * l_dot_e - Fraction(e_sq, 2)
+
+    def coefficient_caps(self) -> tuple[int, ...]:
+        """Upper bound on each chain coefficient of any admissible row.
+
+        quad(z) = z^T C z / 2 with C the A_n Cartan matrix, which is positive
+        definite; on the ellipsoid z^T C z / 2 <= R the largest z_i is
+        sqrt(2 R (C^-1)_ii) = sqrt(2 R adj_ii / det).  R is the largest
+        right-hand side; it falls as L.E grows, so L.E = 0 attains it.
+        """
+        n = self.chain_length
+        cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+        minors, adj = bareiss(cartan)
+        rhs = max(self.quadratic_rhs(l_sq, 0, e_sq) for l_sq in self.L_SQ_RANGE for e_sq in self.E_SQ_RANGE)
+        return tuple(math.isqrt(math.floor(2 * rhs * adj[i][i] / minors[-1])) for i in range(n))
 
     def l_dot_z(self, l_sq: int, l_dot_e: int) -> int:
         return 8 - 2 * l_sq - l_dot_e
@@ -145,15 +160,18 @@ COEFFICIENT_SCAN_BOUND = 16
 def enumerate_table(case: str, bound: int = COEFFICIENT_SCAN_BOUND) -> tuple[SolutionRow, ...]:
     """All admissible rows for one case, in lexicographic order.
 
-    The scan over chain coefficients in [1, bound] is exhaustive: the chain
-    quadratic form is positive definite and its right-hand side is at most 13,
-    so doubling the bound adds nothing (asserted by the saturation test).
+    Chain coefficient i runs over [1, min(bound, cap_i)] with the caps of
+    `ConstraintSystem.coefficient_caps`: every row lies in the ellipsoid of
+    the positive definite chain form, so the scan is exhaustive by
+    construction (4 for p4, 5 for p5 and p6) and any bound above the caps
+    gives the same rows.
     """
     system = CONSTRAINT_SYSTEMS[case]
-    # One pass over the coefficient box, bucketed by the chain-quadratic value;
+    ranges = [range(1, min(bound, cap) + 1) for cap in system.coefficient_caps()]
+    # One pass over the capped box, bucketed by the chain-quadratic value;
     # each (L^2, L.E, E^2) cell then reads off its right-hand side.
     by_quadratic: dict[int, list[tuple[int, ...]]] = {}
-    for z in itertools.product(range(1, bound + 1), repeat=system.chain_length):
+    for z in itertools.product(*ranges):
         if not system.tie_break_holds(z):
             continue
         if not system.min_bound_holds(z):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .lattice import (
     MINUS_K,
+    ZERO,
     DivisorClass,
     GENERAL,
     InternalFaultError,
@@ -20,7 +21,7 @@ from .lattice import (
     anticanonical_class,
     intersect,
 )
-from .curves import minus_two_curves, minus_two_gram_adjugate, negative_curve_classes
+from .curves import ALL_MINUS_ONE_CLASSES, minus_two_curves, minus_two_gram_adjugate, negative_curve_classes
 from .exact import mat_vec
 
 REDUCTION_CAP = 10_000
@@ -106,12 +107,44 @@ def is_effective(d: DivisorClass, cfg: SurfaceConfiguration) -> bool:
     return h0(d, cfg) >= 1
 
 
+def half_anticanonical_candidates() -> tuple[DivisorClass, ...]:
+    """Every effective class D on the general configuration with D.(-K) <= 2:
+    0, the ten lines, and the sums of two lines (56 distinct classes).
+
+    A class D with h^0(D) > 1 and -K - 2D effective has D.(-K) <= 2, since
+    -K is nef: 0 <= (-K).(-K - 2D) = 5 - 2 D.(-K).  On the general
+    configuration -K is ample, so an effective D of degree D.(-K) <= 2 is a
+    sum of at most two irreducible curves C of degree 1, or one of degree 2.
+    Adjunction gives C^2 = 2g - 2 + C.(-K) and the Hodge index theorem
+    5 C^2 <= (C.(-K))^2: degree 1 forces C^2 = -1, a line; degree 2 forces
+    C^2 = 0, a conic, which is a fiber of a ruling and so the sum of the two
+    meeting lines of a reducible fiber.  Hence this list is complete with no
+    coefficient bound.
+    """
+    lines = ALL_MINUS_ONE_CLASSES
+    sums = {a + b for i, a in enumerate(lines) for b in lines[i:]}
+    return (ZERO, *lines, *sorted(sums, key=lambda d: d.coeffs))
+
+
+def find_all_half_anticanonical_pencils() -> list[DivisorClass]:
+    """Classes d on the general configuration with h^0(d) > 1 and -K - 2d
+    effective, over all of the lattice; expected empty.  Complete because every
+    such d is among `half_anticanonical_candidates`."""
+    return [
+        d for d in half_anticanonical_candidates()
+        if h0(d, GENERAL) > 1 and is_effective(MINUS_K - 2 * d, GENERAL)
+    ]
+
+
 def find_half_anticanonical_pencils(coefficient_bound: int,
                                     require_effective_complement: bool = True) -> list[DivisorClass]:
     """Scan the general configuration for classes d with h^0(d) > 1 whose double
     is dominated by the anticanonical class (-K - 2d effective).
 
-    An exhaustive scan over |coefficients| <= bound; expected empty.
+    An exhaustive scan over |coefficients| <= bound; expected empty.  With
+    `require_effective_complement` off it lists every d with h^0(d) > 1 in
+    the box.  `find_all_half_anticanonical_pencils` decides the statement
+    without a bound.
     """
     if coefficient_bound < 1:
         raise ValueError("coefficient bound must be positive")

@@ -209,8 +209,11 @@ def _double_cover_from_json(obj: dict, defaults: dict) -> DoubleCoverScenario:
         if not isinstance(cls, DivisorClass):
             raise ValueError("pg bound class must be integral")
         bound = (cls, cfg)
+    chi_base = get("chi_base")
+    if isinstance(chi_base, bool) or not isinstance(chi_base, int):
+        raise ValueError(f"chi_base must be a JSON integer, got {chi_base!r}")
     return DoubleCoverScenario(
-        chi_base=get("chi_base"),
+        chi_base=chi_base,
         m_dot_k=rational_from_json(get("m_dot_k")),
         m_sq=rational_from_json(get("m_sq")),
         k_plus_m_sq=rational_from_json(get("k_plus_m_sq")),

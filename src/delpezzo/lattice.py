@@ -51,12 +51,20 @@ class DivisorClass:
             raise ValueError(f"need {RANK} coefficients, got {len(self.coeffs)}")
         object.__setattr__(self, "coeffs", tuple(_as_int(c) for c in self.coeffs))
 
+    @classmethod
+    def _unchecked(cls, coeffs: tuple[int, ...]) -> "DivisorClass":
+        """Class from RANK coefficients already known to be ints: the
+        arithmetic below keeps them so, and skips the constructor's checks."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "coeffs", coeffs)
+        return d
+
     def dot(self, other: "DivisorClass | QDivisorClass") -> Coeff:
         return intersect(self, other)
 
     def __add__(self, other):
         if isinstance(other, DivisorClass):
-            return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+            return DivisorClass._unchecked(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
         if isinstance(other, QDivisorClass):
             return self.as_q() + other
         return NotImplemented
@@ -65,11 +73,11 @@ class DivisorClass:
         return self + (-other)
 
     def __neg__(self):
-        return DivisorClass(tuple(-a for a in self.coeffs))
+        return DivisorClass._unchecked(tuple(-a for a in self.coeffs))
 
     def __rmul__(self, n):
         if isinstance(n, int):
-            return DivisorClass(tuple(n * a for a in self.coeffs))
+            return DivisorClass._unchecked(tuple(n * a for a in self.coeffs))
         if isinstance(n, Fraction):
             return QDivisorClass(tuple(n * a for a in self.coeffs))
         return NotImplemented

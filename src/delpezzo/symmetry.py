@@ -1,10 +1,14 @@
 """Automorphisms of the degree-5 del Pezzo lattice and their orbit structure.
 
-Two generator families: coordinate permutations of the four exceptional
-classes, and the quadratic involutions based at three of the four points
-(L -> 2L - Ei - Ej - Ek).  Their closure has order 120 and acts on the ten
-(-1)-classes; the orbit computations below back the transitivity statements
-used to normalize cover data.
+The isometries of the Picard lattice that fix K form the Weyl group W(A4),
+isomorphic to S5 (Dolgachev, *Classical Algebraic Geometry*, ch. 8).  The
+ten (-1)-classes correspond to the 2-subsets of {1..5}, two lines meeting
+exactly when their pairs are disjoint (the Petersen graph), and
+`generate_group` builds the 120 elements from the permutations of {1..5}.
+The named automorphisms (coordinate permutations of the four exceptional
+classes, and the quadratic involutions L -> 2L - Ei - Ej - Ek) transport
+cover data; the orbit computations below back the transitivity statements
+used to normalize it.
 """
 
 from __future__ import annotations
@@ -21,11 +25,8 @@ from .lattice import (
     K,
     L,
     DivisorClass,
-    InternalFaultError,
     intersect,
 )
-
-GROUP_CAP = 1000
 
 _GRAM: Matrix = (
     (1, 0, 0, 0, 0),
@@ -99,25 +100,35 @@ def cremona_automorphism(base: set[int] | frozenset[int] | tuple[int, ...]) -> L
     return LatticeAutomorphism(_columns_to_matrix(images), name=f"cremona:{name}")
 
 
+#: The ten lines indexed by 2-subsets of {1..5}: Ei <-> {i,5} and
+#: L - Ei - Ej <-> {1..4} minus {i,j}.
+PAIR_LINES: dict[frozenset[int], DivisorClass] = {
+    **{frozenset((i, 5)): E[i - 1] for i in (1, 2, 3, 4)},
+    **{
+        frozenset({1, 2, 3, 4} - {i, j}): L - E[i - 1] - E[j - 1]
+        for i, j in itertools.combinations((1, 2, 3, 4), 2)
+    },
+}
+
+
 @lru_cache(maxsize=1)
 def generate_group() -> tuple[LatticeAutomorphism, ...]:
-    """Closure of the permutation and quadratic generators under composition."""
-    generators = [perm_automorphism(p) for p in itertools.permutations((1, 2, 3, 4))]
-    generators += [cremona_automorphism(b) for b in itertools.combinations((1, 2, 3, 4), 3)]
-    seen: dict[Matrix, LatticeAutomorphism] = {IDENTITY.matrix: IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        new_frontier = []
-        for g in frontier:
-            for gen in generators:
-                h = gen.compose(g)
-                if h.matrix not in seen:
-                    if len(seen) >= GROUP_CAP:
-                        raise InternalFaultError("group closure exceeded the cap")
-                    seen[h.matrix] = h
-                    new_frontier.append(h)
-        frontier = new_frontier
-    return tuple(seen.values())
+    """The 120 elements of W(A4) = S5, one per permutation of {1..5}.
+
+    A permutation s sends the line of the pair {a,b} to the line of
+    {s(a),s(b)}.  The images of E1..E4 and of L = E1 + E2 + (L - E1 - E2)
+    give the matrix; the constructor checks that it preserves the form and K.
+    """
+    group = []
+    for s in itertools.permutations(range(1, 6)):
+        if s == (1, 2, 3, 4, 5):
+            group.append(IDENTITY)
+            continue
+        # s = (s(1), ..., s(5)): Ei = {i,5} goes to {s(i),s(5)}, L - E1 - E2 = {3,4} to {s(3),s(4)}.
+        e = [PAIR_LINES[frozenset((s[i - 1], s[4]))] for i in (1, 2, 3, 4)]
+        images = [e[0] + e[1] + PAIR_LINES[frozenset((s[2], s[3]))], *e]
+        group.append(LatticeAutomorphism(_columns_to_matrix(images)))
+    return tuple(group)
 
 
 def line_orbits(group: tuple[LatticeAutomorphism, ...] | None = None) -> list[set[DivisorClass]]:

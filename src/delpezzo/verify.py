@@ -13,7 +13,13 @@ from importlib import resources
 from typing import Callable
 
 from . import casework, contraction, covers, curves, symmetry
-from .cohomology import find_half_anticanonical_pencils, h0, is_effective
+from .cohomology import (
+    find_all_half_anticanonical_pencils,
+    find_half_anticanonical_pencils,
+    h0,
+    half_anticanonical_candidates,
+    is_effective,
+)
 from .lattice import (
     CONFIGURATIONS,
     E,
@@ -165,10 +171,15 @@ def _check_effectivity():
 
 
 def _check_half_anticanonical_scan():
-    strict = find_half_anticanonical_pencils(3)
+    candidates = half_anticanonical_candidates()
+    complete = find_all_half_anticanonical_pencils()
+    strict = find_half_anticanonical_pencils(1)
     relaxed = find_half_anticanonical_pencils(1, require_effective_complement=False)
-    ok = strict == [] and L in relaxed
-    return ok, f"violations at bound 3: {len(strict)}; relaxed bound-1 scan finds {len(relaxed)} movable classes"
+    ok = len(candidates) == 56 and complete == [] and strict == [] and L in relaxed
+    return ok, (
+        f"violations among the {len(candidates)} effective classes of degree <= 2: {len(complete)}; "
+        f"at bound 1: {len(strict)}; relaxed bound-1 scan finds {len(relaxed)} movable classes"
+    )
 
 
 PULLBACK_GOLDENS = (
@@ -247,7 +258,10 @@ def _check_group():
     stable = all({g.apply(c) for c in lines} == lines for g in group)
     orbit_sizes = sorted(len(o) for o in symmetry.line_orbits(group))
     ok = len(group) == 120 and gram_ok and stable and orbit_sizes == [10]
-    return ok, f"group order {len(group)}, Gram preserved {gram_ok}, line set stable {stable}, orbits {orbit_sizes}"
+    return ok, (
+        f"group order {len(group)} (S5 on 2-subsets of {{1..5}}), Gram preserved {gram_ok}, "
+        f"line set stable {stable}, orbits {orbit_sizes}"
+    )
 
 
 def _check_transitivity():
@@ -381,7 +395,8 @@ def _check_table(case: str):
     else:
         ok = len(diff.matched) == 43 and not diff.published_only and not diff.corrected
     saturated = casework.enumerate_table(case, bound=2 * casework.COEFFICIENT_SCAN_BOUND) == rows
-    return ok and saturated, "; ".join(lines) + f"; saturated {saturated}"
+    caps = casework.CONSTRAINT_SYSTEMS[case].coefficient_caps()
+    return ok and saturated, "; ".join(lines) + f"; saturated {saturated}; coefficient caps {caps}"
 
 
 def _check_preimage_search():

@@ -73,6 +73,41 @@ def test_saturation_doubling_the_bound_adds_nothing(case):
     assert enumerate_table(case, bound=32) == enumerate_table(case)
 
 
+def box_table(case: str, bound: int) -> tuple[SolutionRow, ...]:
+    """The unpruned scan over [1, bound]^n, as before the ellipsoid caps:
+    an oracle for the capped enumeration."""
+    system = CONSTRAINT_SYSTEMS[case]
+    by_quadratic = {}
+    for z in itertools.product(range(1, bound + 1), repeat=system.chain_length):
+        if system.tie_break_holds(z) and system.min_bound_holds(z) and system.chain_inequalities_hold(z):
+            by_quadratic.setdefault(system.chain_quadratic(z), []).append(z)
+    rows = []
+    for l_sq in system.L_SQ_RANGE:
+        for e_sq in system.E_SQ_RANGE:
+            for l_dot_e in range(0, 9):
+                rhs = system.quadratic_rhs(l_sq, l_dot_e, e_sq)
+                for z in by_quadratic.get(rhs, ()):
+                    row = SolutionRow(z, l_sq, l_dot_e, e_sq, system.e_dot_z(l_dot_e, e_sq))
+                    if not system.violations(row):
+                        rows.append(row)
+    return tuple(sorted(rows))
+
+
+@pytest.mark.parametrize("case", ["p4", "p5", "p6"])
+def test_capped_enumeration_equals_the_unpruned_box(case):
+    rows = enumerate_table(case)
+    assert box_table(case, 16) == rows
+    assert box_table(case, 32) == rows
+
+
+@pytest.mark.parametrize("case, caps", [("p4", (4, 4)), ("p5", (4, 5, 4)), ("p6", (4, 5, 5, 4))])
+def test_coefficient_caps(case, caps):
+    system = CONSTRAINT_SYSTEMS[case]
+    assert system.coefficient_caps() == caps
+    for row in enumerate_table(case):
+        assert all(c <= cap for c, cap in zip(row.z_coeffs, caps))
+
+
 def test_rows_are_sorted_and_unique():
     for case in ("p4", "p5", "p6"):
         rows = enumerate_table(case)

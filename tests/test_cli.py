@@ -3,6 +3,7 @@ import subprocess
 import sys
 from importlib import resources
 
+import pytest
 
 from delpezzo.cli import run
 from delpezzo.lattice import class_from_json
@@ -154,6 +155,20 @@ def test_boolean_in_scenario_exits_3(tmp_path, capsys):
     code, _, err = invoke(capsys, "cover", "--scenario", str(bad))
     assert code == 3
     assert "True" in err
+
+
+@pytest.mark.parametrize("chi_base", [True, "1", 1.0])
+def test_non_integer_chi_base_exits_3(tmp_path, capsys, chi_base):
+    path = resources.files("delpezzo.data").joinpath("scenarios/cover_disjoint_minus4_pair.json")
+    scenario = json.loads(path.read_text())
+    scenario["chi_base"] = chi_base
+    bad = tmp_path / "chi_base.json"
+    bad.write_text(json.dumps(scenario))
+    code, out, err = invoke(capsys, "cover", "--scenario", str(bad))
+    assert code == 3
+    assert out == ""
+    assert "chi_base" in err
+    assert "Traceback" not in err
 
 
 def test_missing_scenario_exits_3(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,9 +7,11 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from delpezzo.cohomology import (
+    find_all_half_anticanonical_pencils,
     find_half_anticanonical_pencils,
     h0,
     h0_with_trace,
+    half_anticanonical_candidates,
     is_effective,
 )
 from delpezzo.curves import ruling_classes
@@ -179,6 +182,21 @@ def test_h0_matches_plane_sections_oracle(a, bs):
 def test_no_movable_class_with_effective_doubled_complement():
     assert find_half_anticanonical_pencils(1) == []
     assert find_half_anticanonical_pencils(3) == []
+
+
+def test_candidates_are_the_effective_classes_of_degree_at_most_two():
+    candidates = half_anticanonical_candidates()
+    assert len(candidates) == len(set(candidates)) == 56
+    for d in candidates:
+        assert is_effective(d, GENERAL)
+        assert intersect(d, MINUS_K) <= 2
+    box = (D(*c) for c in itertools.product(range(-3, 4), repeat=5))
+    low_degree = {d for d in box if intersect(d, MINUS_K) <= 2 and h0(d, GENERAL) >= 1}
+    assert low_degree == set(candidates)
+
+
+def test_complete_half_anticanonical_check_finds_nothing():
+    assert find_all_half_anticanonical_pencils() == []
 
 
 def test_relaxed_scan_is_nonempty():

@@ -67,6 +67,37 @@ def test_q_classes_embed_losslessly():
     assert q.as_integral() == d
 
 
+@given(coeffs5, coeffs5, st.integers(-9, 9))
+def test_arithmetic_matches_the_checked_constructor(a, b, n):
+    da, db = D(*a), D(*b)
+    results = (da + db, -da, da - db, n * da, da * n)
+    expected = (
+        D(*(x + y for x, y in zip(a, b))),
+        D(*(-x for x in a)),
+        D(*(x - y for x, y in zip(a, b))),
+        D(*(n * x for x in a)),
+        D(*(n * x for x in a)),
+    )
+    assert results == expected
+    for d in results:
+        assert isinstance(d, DivisorClass)
+        assert all(type(c) is int for c in d.coeffs)
+        assert hash(d) == hash(D(*d.coeffs))
+
+
+def test_constructor_validates_coefficients():
+    assert D(Fraction(2), 0, 0, 0, 0).coeffs == (2, 0, 0, 0, 0)
+    assert type(D(Fraction(2), 0, 0, 0, 0).coeffs[0]) is int
+    with pytest.raises(TypeError):
+        D(True, 0, 0, 0, 0)
+    with pytest.raises(TypeError):
+        D(1.0, 0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        D(Fraction(1, 2), 0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        DivisorClass((1, 0, 0, 0))
+
+
 def test_rational_scaling():
     q = Fraction(1, 3) * D(1, -1, -1, -1, 0)
     assert isinstance(q, QDivisorClass)

@@ -16,6 +16,7 @@ from delpezzo.lattice import (
 )
 from delpezzo.symmetry import (
     IDENTITY,
+    PAIR_LINES,
     LatticeAutomorphism,
     cremona_automorphism,
     generate_group,
@@ -25,6 +26,40 @@ from delpezzo.symmetry import (
     same_family,
     transport_cover_data,
 )
+
+
+def closure_group() -> set:
+    """Breadth-first closure of the permutation and quadratic generators:
+    the group as generated before the S5 model, kept as an oracle."""
+    generators = [perm_automorphism(p) for p in itertools.permutations((1, 2, 3, 4))]
+    generators += [cremona_automorphism(b) for b in itertools.combinations((1, 2, 3, 4), 3)]
+    seen = {IDENTITY.matrix}
+    frontier = [IDENTITY]
+    while frontier:
+        new_frontier = []
+        for g in frontier:
+            for gen in generators:
+                h = gen.compose(g)
+                if h.matrix not in seen:
+                    assert len(seen) < 1000, "group closure exceeded the cap"
+                    seen.add(h.matrix)
+                    new_frontier.append(h)
+        frontier = new_frontier
+    return seen
+
+
+def test_s5_model_equals_the_generator_closure():
+    group = generate_group()
+    assert len({g.matrix for g in group}) == len(group)
+    assert {g.matrix for g in group} == closure_group()
+
+
+def test_pair_labels_give_the_petersen_incidence():
+    assert set(PAIR_LINES.values()) == set(ALL_MINUS_ONE_CLASSES)
+    for p, a in PAIR_LINES.items():
+        for q, b in PAIR_LINES.items():
+            if p != q:
+                assert intersect(a, b) == (1 if not p & q else 0), (p, q)
 
 
 def test_identity_in_group():
