@@ -354,9 +354,15 @@ def preimage_configuration_search(chain_bound: int, target_sq: Fraction | int,
     if target > 0 and target.denominator == 1:
         raise ValueError("the search is for non-positive or fractional targets")
     found: dict[tuple[tuple[str, ...], tuple[tuple[int, int], ...]], FeasibleConfiguration] = {}
+    tried = set()
     for n in range(0, chain_bound + 1):
         for edges, adj, det in _incidence_patterns(n):
             key = (component_labels(n, edges), _canonical_edges(n, edges))
+            # The pairing box is symmetric under relabelling the nodes, so a
+            # relabelled graph is feasible exactly when its first labelling is.
+            if key in tried:
+                continue
+            tried.add(key)
             for ks in itertools.product(range(0, pairing_bound + 1), repeat=n):
                 # -G x = ks, so x = adj * ks / det with det > 0.
                 ys = mat_vec(adj, ks)
@@ -365,15 +371,15 @@ def preimage_configuration_search(chain_bound: int, target_sq: Fraction | int,
                 e_sq = target - Fraction(sum(y * k for y, k in zip(ys, ks)), det)
                 if e_sq.denominator != 1 or int(e_sq) % 2 != 0:
                     continue
-                if key not in found:
-                    found[key] = FeasibleConfiguration(
-                        components=key[0],
-                        edges=key[1],
-                        curve_count=n,
-                        witness_pairings=tuple(ks),
-                        witness_e_sq=int(e_sq),
-                        witness_coefficients=tuple(Fraction(y, det) for y in ys),
-                    )
+                found[key] = FeasibleConfiguration(
+                    components=key[0],
+                    edges=key[1],
+                    curve_count=n,
+                    witness_pairings=tuple(ks),
+                    witness_e_sq=int(e_sq),
+                    witness_coefficients=tuple(Fraction(y, det) for y in ys),
+                )
+                break
     return sorted(found.values(), key=lambda f: (f.curve_count, f.components, f.edges))
 
 

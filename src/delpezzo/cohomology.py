@@ -56,7 +56,10 @@ def _reduce_to_nef(d: DivisorClass, cfg: SurfaceConfiguration, trace: ReductionT
                 break
         else:
             return d
-    raise InternalFaultError(f"reduction cap exceeded; trace: {trace.steps}")
+    last = ", ".join(f"{mult}*({wall})" for wall, mult in trace.steps[-4:])
+    raise InternalFaultError(
+        f"reduction cap of {REDUCTION_CAP} steps exceeded from {trace.start}; last subtractions: {last}"
+    )
 
 
 def _is_nonnegative_minus_two_combination(d: DivisorClass, cfg: SurfaceConfiguration) -> bool:

@@ -11,6 +11,7 @@ need it.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -40,9 +41,9 @@ def bareiss(m: Sequence[Sequence[int]]) -> tuple[list[int], Matrix | None]:
 
 
 def mat_vec(m: Sequence[Sequence[int]], v: Sequence) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     columns = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in columns) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in columns]) for row in a])

@@ -147,12 +147,14 @@ AnyClass = Union[DivisorClass, QDivisorClass]
 
 
 def intersect(a: AnyClass, b: AnyClass) -> Coeff:
-    """Signature (1,4) pairing: a0*b0 - sum(ai*bi).  Integer when both are."""
-    ac, bc = a.coeffs, b.coeffs
-    value = ac[0] * bc[0] - sum(ac[i] * bc[i] for i in range(1, RANK))
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
+    """Signature (1,4) pairing: a0*b0 - sum(ai*bi).  An int when the value is
+    integral, a Fraction otherwise."""
+    a0, a1, a2, a3, a4 = a.coeffs
+    b0, b1, b2, b3, b4 = b.coeffs
+    value = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3 - a4 * b4
+    if type(value) is int or value.denominator != 1:
+        return value
+    return int(value)
 
 
 def divisor(c0: int, c1: int, c2: int, c3: int, c4: int) -> DivisorClass:

@@ -49,20 +49,32 @@ class LatticeAutomorphism:
     name: str = ""
 
     def __post_init__(self):
+        if len(self.matrix) != 5 or any(len(row) != 5 or any(type(x) is not int for x in row)
+                                        for row in self.matrix):
+            raise ValueError(f"need a 5x5 integer matrix, got {self.matrix}")
         if not self.preserves_gram():
             raise ValueError(f"matrix does not preserve the intersection form: {self.matrix}")
         if self.apply(K) != K:
             raise ValueError("automorphism must fix the canonical class")
 
     def apply(self, d: DivisorClass) -> DivisorClass:
-        return DivisorClass(mat_vec(self.matrix, d.coeffs))
+        image = mat_vec(self.matrix, d.coeffs)
+        if isinstance(d, DivisorClass):
+            # An integer matrix times integer coefficients gives integers.
+            return DivisorClass._unchecked(image)
+        return DivisorClass(image)
 
     def compose(self, other: "LatticeAutomorphism") -> "LatticeAutomorphism":
         """self after other (matrix product)."""
         return LatticeAutomorphism(mat_mul(self.matrix, other.matrix))
 
     def preserves_gram(self) -> bool:
-        return mat_mul(mat_mul(tuple(zip(*self.matrix)), _GRAM), self.matrix) == _GRAM
+        """M^T G M = G: the images of the basis classes (the columns of M)
+        pair with each other as the basis classes do."""
+        cols = [DivisorClass._unchecked(c) for c in zip(*self.matrix)]
+        return all(
+            intersect(cols[i], cols[j]) == _GRAM[i][j] for i in range(5) for j in range(i, 5)
+        )
 
 
 IDENTITY = LatticeAutomorphism(_columns_to_matrix([L, *E]), name="id")
@@ -131,16 +143,24 @@ def generate_group() -> tuple[LatticeAutomorphism, ...]:
     return tuple(group)
 
 
+@lru_cache(maxsize=1)
+def line_action(group: tuple[LatticeAutomorphism, ...]) -> tuple[tuple[int, ...], ...]:
+    """Each element as a permutation of the ten lines: entry i is the index in
+    ALL_MINUS_ONE_CLASSES of the image of line i.  An image that is not a line
+    raises KeyError."""
+    index = {c: i for i, c in enumerate(ALL_MINUS_ONE_CLASSES)}
+    return tuple(tuple(index[g.apply(c)] for c in ALL_MINUS_ONE_CLASSES) for g in group)
+
+
 def line_orbits(group: tuple[LatticeAutomorphism, ...] | None = None) -> list[set[DivisorClass]]:
     """Orbit partition of the ten (-1)-classes of the general configuration."""
-    group = group or generate_group()
-    remaining = set(ALL_MINUS_ONE_CLASSES)
+    action = line_action(group or generate_group())
+    remaining = set(range(len(ALL_MINUS_ONE_CLASSES)))
     orbits = []
     while remaining:
-        seed = remaining.pop()
-        orbit = {g.apply(seed) for g in group}
+        orbit = {p[min(remaining)] for p in action}
         remaining -= orbit
-        orbits.append(orbit)
+        orbits.append({ALL_MINUS_ONE_CLASSES[i] for i in orbit})
     return orbits
 
 
@@ -161,29 +181,21 @@ class LineTransitivityReport:
 def line_transitivity_report() -> LineTransitivityReport:
     """Three orbit facts on the ten lines: the group is transitive; the
     stabilizer of a line is transitive on the six lines disjoint from it; and
-    the action is transitive on ordered disjoint pairs."""
+    the action is transitive on ordered disjoint pairs.  All three are checked
+    on the line permutations of `line_action`."""
     group = generate_group()
+    action = line_action(group)
     lines = ALL_MINUS_ONE_CLASSES
+    n = len(lines)
+    disjoint = [[j for j in range(n) if j != i and intersect(lines[i], lines[j]) == 0] for i in range(n)]
 
     transitive = len(line_orbits(group)) == 1
-
-    stab_ok = True
-    for line in lines:
-        stabilizer = [g for g in group if g.apply(line) == line]
-        disjoint = [c for c in lines if c != line and intersect(c, line) == 0]
-        seed = disjoint[0]
-        orbit = {g.apply(seed) for g in stabilizer}
-        if orbit != set(disjoint):
-            stab_ok = False
-            break
-
-    pairs = [
-        (a, b) for a in lines for b in lines
-        if a != b and intersect(a, b) == 0
-    ]
-    seed_pair = pairs[0]
-    pair_orbit = {(g.apply(seed_pair[0]), g.apply(seed_pair[1])) for g in group}
-    pairs_ok = pair_orbit == set(pairs)
+    stab_ok = all(
+        {p[disjoint[i][0]] for p in action if p[i] == i} == set(disjoint[i]) for i in range(n)
+    )
+    pairs = [(i, j) for i in range(n) for j in disjoint[i]]
+    a, b = pairs[0]
+    pairs_ok = {(p[a], p[b]) for p in action} == set(pairs)
 
     return LineTransitivityReport(
         transitive_on_lines=transitive,

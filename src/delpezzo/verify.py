@@ -254,8 +254,9 @@ def _check_singularity_types():
 def _check_group():
     group = symmetry.generate_group()
     gram_ok = all(g.preserves_gram() for g in group)
-    lines = set(curves.ALL_MINUS_ONE_CLASSES)
-    stable = all({g.apply(c) for c in lines} == lines for g in group)
+    # line_action raises KeyError if an element moves a line off the line set.
+    every_line = list(range(len(curves.ALL_MINUS_ONE_CLASSES)))
+    stable = all(sorted(p) == every_line for p in symmetry.line_action(group))
     orbit_sizes = sorted(len(o) for o in symmetry.line_orbits(group))
     ok = len(group) == 120 and gram_ok and stable and orbit_sizes == [10]
     return ok, (

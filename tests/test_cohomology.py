@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from delpezzo.cohomology import (
+    REDUCTION_CAP,
     find_all_half_anticanonical_pencils,
     find_half_anticanonical_pencils,
     h0,
@@ -22,6 +23,7 @@ from delpezzo.lattice import (
     L,
     MINUS_K,
     DivisorClass,
+    InternalFaultError,
     ZERO,
     get_configuration,
     intersect,
@@ -91,6 +93,18 @@ def test_reduction_trace_preserves_h0():
     from delpezzo.curves import negative_curve_classes
 
     assert all(intersect(trace.result, c) >= 0 for c in negative_curve_classes(cfg))
+
+
+def test_reduction_cap_fault_names_the_cap_start_and_last_steps():
+    # Two meeting lines ping-pong in steps of 97 well past the cap.
+    label = "890070l-890167e1+789436e2-230823e3+48486e4"
+    with pytest.raises(InternalFaultError) as info:
+        h0(parse_class_label(label), GENERAL)
+    message = str(info.value)
+    assert f"cap of {REDUCTION_CAP} steps" in message
+    assert label in message
+    assert message.endswith("last subtractions: 97*(l-e1-e2), 97*(e2), 97*(l-e1-e2), 97*(e2)")
+    assert len(message) < 300
 
 
 def test_nef_classes_need_no_reduction():

@@ -1,7 +1,8 @@
 """The fraction-free core against the Fraction elimination it replaced.
 
 `gauss_jordan_solve` and `fraction_det` are the package's former
-`_solve_exact` and `casework._det`, kept here as independent oracles.
+`_solve_exact` and `casework._det`, and `genexpr_mat_vec`/`genexpr_mat_mul`
+the former generator-expression products, kept here as independent oracles.
 """
 
 import itertools
@@ -63,6 +64,15 @@ def fraction_det(m):
     return det
 
 
+def genexpr_mat_vec(m, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+
+def genexpr_mat_mul(a, b):
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in columns) for row in a)
+
+
 def identity(n, scale=1):
     return tuple(tuple(scale * int(i == j) for j in range(n)) for i in range(n))
 
@@ -88,6 +98,30 @@ def test_bareiss_matches_fraction_elimination(m, b):
     assert mat_mul(m, adj) == identity(n, det)
     assert mat_mul(adj, m) == identity(n, det)
     assert [Fraction(y, det) for y in mat_vec(adj, b[:n])] == gauss_jordan_solve(m, b[:n])
+
+
+entries = st.one_of(st.integers(-50, 50), st.fractions(min_value=-9, max_value=9, max_denominator=6))
+sizes = st.integers(0, 5)
+
+
+@settings(max_examples=100)
+@given(sizes.flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(entries, min_size=n, max_size=n),
+)))
+def test_products_match_the_genexpr_oracles(case):
+    m, q, v = case
+    for a, b in ((m, m), (m, q), (q, m), (q, q)):
+        got = mat_mul(a, b)
+        assert got == genexpr_mat_mul(a, b)
+        assert isinstance(got, tuple) and all(isinstance(row, tuple) for row in got)
+    for a in (m, q):
+        got = mat_vec(a, v)
+        assert got == genexpr_mat_vec(a, v)
+        assert [type(x) for x in got] == [type(x) for x in genexpr_mat_vec(a, v)]
+    assert all(type(x) is int for x in mat_vec(m, [int(x) for x in v]))
+    assert all(type(x) is int for row in mat_mul(m, m) for x in row)
 
 
 def test_bareiss_of_the_empty_matrix():
@@ -167,12 +201,34 @@ def oracle_preimage_search(chain_bound, target, pairing_bound):
     return found
 
 
+def witnesses(chain_bound, target, pairing_bound):
+    return {
+        (f.components, f.edges): (f.witness_pairings, f.witness_e_sq, f.witness_coefficients)
+        for f in preimage_configuration_search(chain_bound, target, pairing_bound)
+    }
+
+
 @pytest.mark.parametrize("chain_bound, target, pairing_bound", [
     (0, 0, 1), (2, Fraction(-4, 3), 2), (3, -1, 1), (2, Fraction(8, 3), 2), (4, Fraction(16, 5), 2),
 ])
 def test_preimage_witnesses_match_the_oracle(chain_bound, target, pairing_bound):
-    got = {
-        (f.components, f.edges): (f.witness_pairings, f.witness_e_sq, f.witness_coefficients)
-        for f in preimage_configuration_search(chain_bound, target, pairing_bound)
-    }
-    assert got == oracle_preimage_search(chain_bound, Fraction(target), pairing_bound)
+    assert witnesses(chain_bound, target, pairing_bound) == oracle_preimage_search(
+        chain_bound, Fraction(target), pairing_bound
+    )
+
+
+GRID_TARGETS = (
+    Fraction(-4, 3), Fraction(-1), Fraction(0), Fraction(16, 5),
+    Fraction(8, 3), Fraction(-2), Fraction(-1, 2), Fraction(3, 4),
+)
+
+
+@pytest.mark.parametrize("target", GRID_TARGETS, ids=str)
+@pytest.mark.parametrize("pairing_bound", range(3))
+@pytest.mark.parametrize("chain_bound", range(5))
+def test_preimage_grid_matches_the_oracle(chain_bound, pairing_bound, target):
+    """Every relabelling of a tried graph is skipped; the witnesses, kept from
+    the first labelling, must still equal the per-labelling oracle's."""
+    assert witnesses(chain_bound, target, pairing_bound) == oracle_preimage_search(
+        chain_bound, target, pairing_bound
+    )

@@ -10,6 +10,7 @@ from delpezzo.lattice import (
     K,
     L,
     MINUS_K,
+    RANK,
     DivisorClass,
     QDivisorClass,
     ZERO,
@@ -56,6 +57,31 @@ def test_pairing_symmetric(a, b):
 def test_pairing_bilinear(a, b, c):
     da, db, dc = D(*a), D(*b), D(*c)
     assert intersect(da + db, dc) == intersect(da, dc) + intersect(db, dc)
+
+
+def genexpr_intersect(a, b):
+    """The pairing as written before the unpacked kernel, kept as an oracle."""
+    ac, bc = a.coeffs, b.coeffs
+    value = ac[0] * bc[0] - sum(ac[i] * bc[i] for i in range(1, RANK))
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return int(value)
+    return value
+
+
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+q_coeffs5 = st.tuples(*[st.one_of(small_fractions, st.integers(-9, 9).map(Fraction))] * 5)
+
+
+@given(coeffs5, coeffs5, q_coeffs5, q_coeffs5)
+def test_intersect_matches_the_genexpr_oracle(a, b, qa, qb):
+    classes = (D(*a), D(*b), QDivisorClass(qa), QDivisorClass(qb))
+    for x in classes:
+        for y in classes:
+            got = intersect(x, y)
+            assert got == genexpr_intersect(x, y)
+            assert type(got) is type(genexpr_intersect(x, y))
+            if Fraction(got).denominator == 1:
+                assert type(got) is int
 
 
 def test_q_classes_embed_losslessly():

@@ -1,25 +1,31 @@
 import itertools
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from delpezzo.covers import BidoubleData
 from delpezzo.curves import ALL_MINUS_ONE_CLASSES
+from delpezzo.exact import mat_mul
 from delpezzo.lattice import (
     E,
     GENERAL,
     K,
     L,
     DivisorClass,
+    QDivisorClass,
     get_configuration,
     intersect,
 )
 from delpezzo.symmetry import (
     IDENTITY,
+    LineTransitivityReport,
     PAIR_LINES,
     LatticeAutomorphism,
     cremona_automorphism,
     generate_group,
+    line_action,
     line_orbits,
     line_transitivity_report,
     perm_automorphism,
@@ -46,6 +52,75 @@ def closure_group() -> set:
                     new_frontier.append(h)
         frontier = new_frontier
     return seen
+
+
+def matrix_line_orbits(group):
+    """Line orbits by applying every matrix, as before the index-level action."""
+    remaining = set(ALL_MINUS_ONE_CLASSES)
+    orbits = []
+    while remaining:
+        seed = remaining.pop()
+        orbit = {g.apply(seed) for g in group}
+        remaining -= orbit
+        orbits.append(orbit)
+    return orbits
+
+
+def matrix_transitivity_report(group):
+    """The three transitivity facts by applying every matrix, as before the
+    index-level action."""
+    lines = ALL_MINUS_ONE_CLASSES
+    transitive = len(matrix_line_orbits(group)) == 1
+    stab_ok = True
+    for line in lines:
+        stabilizer = [g for g in group if g.apply(line) == line]
+        disjoint = [c for c in lines if c != line and intersect(c, line) == 0]
+        if {g.apply(disjoint[0]) for g in stabilizer} != set(disjoint):
+            stab_ok = False
+            break
+    pairs = [(a, b) for a in lines for b in lines if a != b and intersect(a, b) == 0]
+    a, b = pairs[0]
+    pairs_ok = {(g.apply(a), g.apply(b)) for g in group} == set(pairs)
+    return LineTransitivityReport(transitive, stab_ok, pairs_ok)
+
+
+def test_line_action_is_the_matrix_action_on_each_line():
+    group = generate_group()
+    action = line_action(group)
+    assert len(action) == len(group)
+    for g, perm in zip(group, action):
+        assert tuple(ALL_MINUS_ONE_CLASSES[i] for i in perm) == tuple(g.apply(c) for c in ALL_MINUS_ONE_CLASSES)
+
+
+def test_line_action_agrees_with_the_closure_group():
+    closure = [LatticeAutomorphism(m) for m in sorted(closure_group())]
+    action = line_action(generate_group())
+    assert set(line_action(tuple(closure))) == set(action)
+    assert len(set(action)) == 120
+    assert all(sorted(p) == list(range(10)) for p in action)
+
+
+def test_line_action_rejects_a_non_line_image():
+    # Every isometry fixing K maps lines to lines, so only a stand-in for an
+    # element can produce a non-line image.
+    class Doubling:
+        def apply(self, d):
+            return 2 * d
+
+    with pytest.raises(KeyError):
+        line_action((IDENTITY, Doubling()))
+
+
+def test_index_level_orbits_and_report_match_the_matrix_oracles():
+    group = generate_group()
+    assert {frozenset(o) for o in line_orbits(group)} == {frozenset(o) for o in matrix_line_orbits(group)}
+    assert line_transitivity_report() == matrix_transitivity_report(group)
+    assert line_transitivity_report().all_hold()
+    # A subgroup that fixes L (the 24 permutations of the points) is not
+    # transitive: both versions agree on the orbits {Ei} and {L-Ei-Ej}.
+    points = tuple(perm_automorphism(p) for p in itertools.permutations((1, 2, 3, 4)))
+    assert sorted(len(o) for o in line_orbits(points)) == [4, 6]
+    assert {frozenset(o) for o in line_orbits(points)} == {frozenset(o) for o in matrix_line_orbits(points)}
 
 
 def test_s5_model_equals_the_generator_closure():
@@ -144,6 +219,48 @@ def test_gram_violating_matrix_rejected():
     bad = tuple(tuple(int(i == j) * 2 for j in range(5)) for i in range(5))
     with pytest.raises(ValueError):
         LatticeAutomorphism(bad)
+
+
+def test_non_integer_or_misshapen_matrix_rejected():
+    eye = IDENTITY.matrix
+    with pytest.raises(ValueError):
+        LatticeAutomorphism(((Fraction(1), 0, 0, 0, 0),) + eye[1:])
+    with pytest.raises(ValueError):
+        LatticeAutomorphism(((True, 0, 0, 0, 0),) + eye[1:])
+    with pytest.raises(ValueError):
+        LatticeAutomorphism(eye[:4])
+
+
+def product_preserves_gram(matrix):
+    """M^T G M == G with two matrix products, as before the pairing check."""
+    gram = tuple(tuple((1 if i == 0 else -1) * int(i == j) for j in range(5)) for i in range(5))
+    return mat_mul(mat_mul(tuple(zip(*matrix)), gram), matrix) == gram
+
+
+def test_pairing_gram_check_matches_the_product_oracle():
+    rng = random.Random(3)
+    matrices = [g.matrix for g in generate_group()]
+    matrices += [cremona_automorphism(b).matrix for b in itertools.combinations((1, 2, 3, 4), 3)]
+    for _ in range(300):
+        m = [list(rng.choice(matrices)[i]) for i in range(5)]
+        if rng.random() < 0.7:
+            m[rng.randrange(5)][rng.randrange(5)] += rng.choice((-1, 1))
+        matrices.append(tuple(map(tuple, m)))
+    results = [
+        LatticeAutomorphism.preserves_gram(SimpleNamespace(matrix=m)) for m in matrices
+    ]
+    assert results == [product_preserves_gram(m) for m in matrices]
+    assert True in results and False in results
+
+
+def test_apply_checks_rational_inputs():
+    eta = perm_automorphism((2, 1, 3, 4))
+    image = eta.apply(QDivisorClass((Fraction(2), Fraction(1), Fraction(0), Fraction(0), Fraction(0))))
+    assert image == DivisorClass((2, 0, 1, 0, 0))
+    assert all(type(c) is int for c in image.coeffs)
+    with pytest.raises(ValueError):
+        eta.apply(QDivisorClass((Fraction(1, 2), 0, 0, 0, 0)))
+    assert all(type(c) is int for c in eta.apply(DivisorClass((3, -1, 2, 0, 5))).coeffs)
 
 
 def test_transitivity_report_all_true():
