@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 from .cohomology import h0
@@ -340,6 +341,20 @@ def _incidence_patterns(n: int):
             yield edges, adj, minors[-1]
 
 
+@lru_cache(maxsize=None)
+def _distinct_patterns(n: int):
+    """The negative definite patterns on n nodes up to relabelling: for each
+    (component labels, canonical edges) key, the first labelled graph of
+    `_incidence_patterns` with that key, as (key, adjugate, determinant).
+    The pairing box is symmetric under relabelling the nodes, so a relabelled
+    graph is feasible exactly when its first labelling is."""
+    out = {}
+    for edges, adj, det in _incidence_patterns(n):
+        key = (component_labels(n, edges), _canonical_edges(n, edges))
+        out.setdefault(key, (key, adj, det))
+    return tuple(out.values())
+
+
 def preimage_configuration_search(chain_bound: int, target_sq: Fraction | int,
                                   pairing_bound: int) -> list[FeasibleConfiguration]:
     """Incidence patterns of at most `chain_bound` (-2)-curves that admit a
@@ -354,15 +369,8 @@ def preimage_configuration_search(chain_bound: int, target_sq: Fraction | int,
     if target > 0 and target.denominator == 1:
         raise ValueError("the search is for non-positive or fractional targets")
     found: dict[tuple[tuple[str, ...], tuple[tuple[int, int], ...]], FeasibleConfiguration] = {}
-    tried = set()
     for n in range(0, chain_bound + 1):
-        for edges, adj, det in _incidence_patterns(n):
-            key = (component_labels(n, edges), _canonical_edges(n, edges))
-            # The pairing box is symmetric under relabelling the nodes, so a
-            # relabelled graph is feasible exactly when its first labelling is.
-            if key in tried:
-                continue
-            tried.add(key)
+        for key, adj, det in _distinct_patterns(n):
             for ks in itertools.product(range(0, pairing_bound + 1), repeat=n):
                 # -G x = ks, so x = adj * ks / det with det > 0.
                 ys = mat_vec(adj, ks)

@@ -4,20 +4,20 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 malformed
 input file.  Class literals use the compact notation ``3l-e1-e2-2e3-e4`` with
 an explicit ``--basis`` flag; every subcommand accepts ``--format
 json|csv|text`` and ``--config GENERAL|P1..P6``.
+
+Each command imports the modules it uses when it runs, so that a short query
+such as ``h0`` does not pay for loading the table, cover and symmetry code.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv as csv_module
-import io
-import json
 import sys
 from fractions import Fraction
 
-from . import casework, contraction, covers, curves, symmetry, verify
 from .lattice import (
     DivisorClass,
+    class_from_json,
     class_to_json,
     get_configuration,
     parse_class_label,
@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
+
+#: The `--case` choices: `casework.TABLE_CASES`, spelled out so that parsing
+#: the arguments does not import the table code.
+TABLE_CASES = ("p4", "p5", "p6")
 
 
 class InputFileError(Exception):
@@ -77,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="enumerate one of the three solution tables")
     add_common(p)
-    p.add_argument("--case", choices=casework.TABLE_CASES, required=True)
+    p.add_argument("--case", choices=TABLE_CASES, required=True)
     p.add_argument("--no-diff", action="store_true",
                    help="suppress the stderr diff against the published rows")
 
@@ -96,13 +100,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(payload, default=None) -> None:
+    import json
+
+    print(json.dumps(payload, indent=2, default=default))
+
+
 def _print_rows(rows: list[dict], fmt: str, text_renderer=None) -> None:
     if fmt == "json":
-        print(json.dumps(rows, indent=2, default=str))
+        _print_json(rows, default=str)
     elif fmt == "csv":
         if rows:
+            import csv
+            import io
+
             buffer = io.StringIO()
-            writer = csv_module.DictWriter(buffer, fieldnames=list(rows[0]))
+            writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
             sys.stdout.write(buffer.getvalue())
@@ -115,6 +128,8 @@ def _print_rows(rows: list[dict], fmt: str, text_renderer=None) -> None:
 
 
 def _cmd_curves(args) -> int:
+    from . import contraction, curves
+
     cfg = get_configuration(args.config)
     _, matrix = curves.incidence_graph(cfg)
     inventory = curves.negative_curves(cfg)
@@ -129,7 +144,7 @@ def _cmd_curves(args) -> int:
             "incidence": [list(row) for row in matrix],
             "singularities": list(contraction.singularity_types(cfg)),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return EXIT_OK
     rows = [
         {
@@ -161,7 +176,7 @@ def _cmd_h0(args) -> int:
             payload["reduction"] = [
                 {"curve": class_to_json(c, cfg), "multiplicity": m} for c, m in trace.steps
             ]
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(trace.value)
         if args.verbose:
@@ -173,18 +188,22 @@ def _cmd_h0(args) -> int:
 
 
 def _cmd_pullback(args) -> int:
+    from . import contraction
+
     cfg = get_configuration(args.config)
     rep = parse_class_label(args.cls, cfg, args.basis)
     pulled = contraction.mumford_pullback(contraction.SigmaClass(rep, cfg))
     coords = to_curve_basis(pulled, cfg)
     if args.format == "json":
-        print(json.dumps(class_to_json(pulled, cfg, "curve"), indent=2))
+        _print_json(class_to_json(pulled, cfg, "curve"))
     else:
         print(render_class(coords))
     return EXIT_OK
 
 
 def _cmd_orbits(args) -> int:
+    from . import symmetry
+
     group = symmetry.generate_group()
     report = symmetry.line_transitivity_report()
     orbits = symmetry.line_orbits(group)
@@ -196,7 +215,7 @@ def _cmd_orbits(args) -> int:
         "transitive_on_disjoint_pairs": report.transitive_on_disjoint_pairs,
     }
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -204,6 +223,8 @@ def _cmd_orbits(args) -> int:
 
 
 def _parse_automorphism(token: str) -> symmetry.LatticeAutomorphism:
+    from . import symmetry
+
     kind, _, body = token.partition(":")
     try:
         if kind == "perm" and len(body) == 4:
@@ -218,6 +239,8 @@ def _parse_automorphism(token: str) -> symmetry.LatticeAutomorphism:
 
 
 def _cmd_transport(args) -> int:
+    from . import covers, symmetry
+
     data = _load_scenarios(args.scenario)
     if len(data) != 1 or not isinstance(data[0], covers.BidoubleData):
         raise InputFileError(f"{args.scenario}: transport needs a single bidouble scenario")
@@ -232,7 +255,7 @@ def _cmd_transport(args) -> int:
         "branch_classes": [render_class(c.coeffs) for c in current.branch_classes],
     }
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         for i, part in enumerate((current.d1, current.d2, current.d3), start=1):
             rendered = " + ".join(render_class(c.coeffs) for c in part)
@@ -241,15 +264,19 @@ def _cmd_transport(args) -> int:
 
 
 def _load_scenarios(path: str):
+    from . import covers
+
     try:
         return covers.load_scenario(path)
     except FileNotFoundError as exc:
         raise InputFileError(f"{path}: {exc.strerror}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise InputFileError(f"{path}: {exc}") from exc
 
 
 def _cmd_cover(args) -> int:
+    from . import covers
+
     scenarios = _load_scenarios(args.scenario)
     rows = []
     for member in scenarios:
@@ -284,6 +311,8 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from . import casework
+
     rows = casework.enumerate_table(args.case)
     system = casework.CONSTRAINT_SYSTEMS[args.case]
     header = list("abcd"[: system.chain_length]) + ["L_sq", "L_dot_E", "E_sq", "E_dot_Z"]
@@ -297,29 +326,48 @@ def _cmd_tables(args) -> int:
 
 
 def _parts_selector(selector: str, cfg) -> list[DivisorClass]:
+    from . import curves
+
     if selector == "lines":
         return [c.cls for c in curves.minus_one_curves(cfg)]
     if selector == "rulings":
         return list(curves.ruling_classes(cfg, False))
     if selector.startswith("file:"):
-        path = selector[5:]
-        try:
-            raw = json.loads(open(path).read())
-            from .lattice import class_from_json
-
-            out = []
-            for obj in raw:
-                cls, _ = class_from_json({**obj, "config": cfg.name})
-                out.append(cls)
-            return out
-        except OSError as exc:
-            raise InputFileError(f"{path}: {exc}") from exc
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise InputFileError(f"{path}: {exc}") from exc
+        return _parts_from_file(selector[5:], cfg)
     raise InputFileError(f"unknown parts selector {selector!r}")
 
 
+def _parts_from_file(path: str, cfg) -> list[DivisorClass]:
+    """Integral classes from a JSON list of class objects, each with a
+    "coeffs" list; the file's "config" tags are replaced by `cfg`."""
+    import json
+
+    try:
+        with open(path) as handle:
+            raw = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise InputFileError(f"{path}: {exc}") from exc
+    if not isinstance(raw, list) or not all(
+        isinstance(obj, dict) and isinstance(obj.get("coeffs"), list) for obj in raw
+    ):
+        raise InputFileError(f'{path}: expected a JSON list of objects, each with a "coeffs" list')
+    out = []
+    for obj in raw:
+        try:
+            cls, _ = class_from_json({**obj, "config": cfg.name})
+        except ValueError as exc:
+            raise InputFileError(f"{path}: {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise InputFileError(f"{path}: zero denominator in {obj['coeffs']}") from exc
+        if not isinstance(cls, DivisorClass):
+            raise InputFileError(f"{path}: part {render_class(cls.coeffs)} is not an integral class")
+        out.append(cls)
+    return out
+
+
 def _cmd_decompose(args) -> int:
+    from . import casework
+
     cfg = get_configuration(args.config)
     target = parse_class_label(args.cls, cfg, args.basis)
     parts = _parts_selector(args.parts, cfg)
@@ -333,9 +381,11 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     ok, lines = verify.run_verification(verbose=args.verbose or args.format != "text")
     if args.format == "json":
-        print(json.dumps({"ok": ok, "checks": lines}, indent=2))
+        _print_json({"ok": ok, "checks": lines})
     else:
         for line in lines:
             print(line)

@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .covers import BidoubleData
 from .curves import ALL_MINUS_ONE_CLASSES
 from .exact import Matrix, mat_mul, mat_vec
 from .lattice import (
@@ -27,6 +27,9 @@ from .lattice import (
     DivisorClass,
     intersect,
 )
+
+if TYPE_CHECKING:
+    from .covers import BidoubleData
 
 _GRAM: Matrix = (
     (1, 0, 0, 0, 0),
@@ -206,6 +209,8 @@ def line_transitivity_report() -> LineTransitivityReport:
 
 def transport_cover_data(data: BidoubleData, g: LatticeAutomorphism) -> BidoubleData:
     """Apply a lattice automorphism to every branch component."""
+    from .covers import BidoubleData
+
     if not data.cfg.is_general:
         raise ValueError("cover-data transport is defined on the general configuration")
     return BidoubleData(

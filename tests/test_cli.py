@@ -192,3 +192,28 @@ def test_verify_subprocess_exits_zero():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "verification PASSED" in result.stdout
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"a": 1}, "expected a JSON list"),
+    ([1, 2], "expected a JSON list"),
+    ([{"coeffs": 5}], "expected a JSON list"),
+    ([{"coeffs": ["1/2", 0, 0, 0, 0]}], "not an integral class"),
+    ([{"coeffs": ["1/0", 0, 0, 0, 0]}], "zero denominator"),
+])
+def test_malformed_parts_file_exits_3(tmp_path, capsys, content, message):
+    parts = tmp_path / "parts.json"
+    parts.write_text(json.dumps(content))
+    code, out, err = invoke(capsys, "decompose", "--class", "l-e4", "--parts", f"file:{parts}")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_parts_file_of_integral_classes(tmp_path, capsys):
+    parts = tmp_path / "parts.json"
+    parts.write_text(json.dumps([{"coeffs": [1, 0, 0, 0, -1]}, {"coeffs": [0, 0, 0, 1, 0]}]))
+    code, out, _ = invoke(capsys, "decompose", "--class", "l-e4", "--parts", f"file:{parts}")
+    assert code == 0
+    assert out == "l-e4\n"
