@@ -16,28 +16,29 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from operator import ge, gt, le, lt
 
 from .cohomology import h0
 from .curves import component_labels
 from .exact import bareiss, mat_vec
-from .lattice import DivisorClass, SurfaceConfiguration, intersect
+from .lattice import DivisorClass, SurfaceConfiguration, _FrozenRecord, _Record, intersect
 
 TABLE_CASES = ("p4", "p5", "p6")
 
 
-@dataclass(frozen=True, order=True)
-class SolutionRow:
-    """One admissible tuple: chain coefficients of Z plus the intersection data."""
+class SolutionRow(_FrozenRecord):
+    """One admissible tuple: chain coefficients of Z plus the intersection data.
+    Rows order by their field values, in field order."""
 
-    z_coeffs: tuple[int, ...]
-    l_sq: int
-    l_dot_e: int
-    e_sq: int
-    e_dot_z: int
+    __slots__ = ("z_coeffs", "l_sq", "l_dot_e", "e_sq", "e_dot_z")
+
+    def __init__(self, z_coeffs: tuple[int, ...], l_sq: int, l_dot_e: int, e_sq: int, e_dot_z: int):
+        self._init(z_coeffs, l_sq, l_dot_e, e_sq, e_dot_z)
+
+    __lt__, __le__, __gt__, __ge__ = (_FrozenRecord._compare(op) for op in (lt, le, gt, ge))
 
     def as_tuple(self) -> tuple[int, ...]:
         return (*self.z_coeffs, self.l_sq, self.l_dot_e, self.e_sq, self.e_dot_z)
@@ -48,8 +49,7 @@ class SolutionRow:
         return (*self.z_coeffs, self.l_sq, self.l_dot_e, self.e_sq)
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(_FrozenRecord):
     """The per-case constraint data.
 
     chain_length: number of Z-coefficients (2 for the A2 point of P4, 3 for
@@ -57,13 +57,14 @@ class ConstraintSystem:
     quad(z) = 10 - 2*L^2 - 2*L.E - E^2/2 with quad the A_k chain form
     sum(zi^2) - sum(zi*z_{i+1}); L.Z = 8 - 2*L^2 - L.E and
     E.Z = 4 - E^2 - 2*L.E are derived, E.Z strictly positive always, L.Z
-    strictly positive only where the source derivation states it.
+    strictly positive only where the source derivation states it.  tie_break
+    describes the symmetry-breaking inequality.
     """
 
-    case: str
-    chain_length: int
-    strict_l_dot_z: bool
-    tie_break: str  # description of the symmetry-breaking inequality
+    __slots__ = ("case", "chain_length", "strict_l_dot_z", "tie_break")
+
+    def __init__(self, case: str, chain_length: int, strict_l_dot_z: bool, tie_break: str):
+        self._init(case, chain_length, strict_l_dot_z, tie_break)
 
     L_SQ_RANGE = (0, 2)
     E_SQ_RANGE = (-2, -4, -6)
@@ -225,28 +226,35 @@ def load_printed_table(case: str) -> tuple[SolutionRow, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class PublishedOnlyRow:
-    row: SolutionRow
-    violated: tuple[str, ...]
+class PublishedOnlyRow(_FrozenRecord):
+    __slots__ = ("row", "violated")
+
+    def __init__(self, row: SolutionRow, violated: tuple[str, ...]):
+        self._init(row, violated)
 
 
-@dataclass(frozen=True)
-class CorrectedRow:
+class CorrectedRow(_FrozenRecord):
     """A printed row whose unknowns match an enumerated row but whose derived
     E.Z column disagrees with the identity E.Z = 4 - E^2 - 2*L.E."""
 
-    printed: SolutionRow
-    enumerated: SolutionRow
+    __slots__ = ("printed", "enumerated")
+
+    def __init__(self, printed: SolutionRow, enumerated: SolutionRow):
+        self._init(printed, enumerated)
 
 
-@dataclass
-class TableDiff:
-    case: str
-    matched: list[SolutionRow] = field(default_factory=list)
-    corrected: list[CorrectedRow] = field(default_factory=list)
-    published_only: list[PublishedOnlyRow] = field(default_factory=list)
-    enumerator_only: list[SolutionRow] = field(default_factory=list)
+class TableDiff(_Record):
+    __slots__ = ("case", "matched", "corrected", "published_only", "enumerator_only")
+
+    def __init__(self, case: str, matched: list[SolutionRow] | None = None,
+                 corrected: list[CorrectedRow] | None = None,
+                 published_only: list[PublishedOnlyRow] | None = None,
+                 enumerator_only: list[SolutionRow] | None = None):
+        self.case = case
+        self.matched = [] if matched is None else matched
+        self.corrected = [] if corrected is None else corrected
+        self.published_only = [] if published_only is None else published_only
+        self.enumerator_only = [] if enumerator_only is None else enumerator_only
 
     @property
     def clean(self) -> bool:
@@ -313,17 +321,21 @@ def rows_to_csv(case: str, rows: tuple[SolutionRow, ...]) -> str:
 # Feasible preimage configurations of a contracted point
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeasibleConfiguration:
+class FeasibleConfiguration(_FrozenRecord):
     """An incidence pattern of (-2)-curves that can support a pullback with the
-    requested self-intersection, with one witness per pattern."""
+    requested self-intersection, with one witness per pattern.
 
-    components: tuple[str, ...]           # e.g. ("A2",) or ("A1", "A1")
-    edges: tuple[tuple[int, int], ...]
-    curve_count: int
-    witness_pairings: tuple[int, ...]     # E.theta_i for the witness
-    witness_e_sq: int
-    witness_coefficients: tuple[Fraction, ...]
+    `components` are the ADE labels, e.g. ("A2",) or ("A1", "A1"), and
+    `witness_pairings` the pairings E.theta_i of the witness.
+    """
+
+    __slots__ = ("components", "edges", "curve_count", "witness_pairings", "witness_e_sq",
+                 "witness_coefficients")
+
+    def __init__(self, components: tuple[str, ...], edges: tuple[tuple[int, int], ...], curve_count: int,
+                 witness_pairings: tuple[int, ...], witness_e_sq: int,
+                 witness_coefficients: tuple[Fraction, ...]):
+        self._init(components, edges, curve_count, witness_pairings, witness_e_sq, witness_coefficients)
 
 
 def _incidence_patterns(n: int):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .lattice import (
     DivisorClass,
@@ -301,7 +300,7 @@ def _cmd_cover(args) -> int:
                     "K_sq": str(inv.k_sq),
                     "pg_lower": inv.pg_lower,
                     "q_lower": str(inv.q_lower),
-                    "albanese_gate": covers.albanese_gate(inv.k_sq, max(0, int(Fraction(inv.q_lower))))
+                    "albanese_gate": covers.albanese_gate(inv.k_sq, max(0, int(inv.q_lower)))
                     if inv.chi_is_integral
                     else None,
                 }
@@ -347,9 +346,7 @@ def _parts_from_file(path: str, cfg) -> list[DivisorClass]:
             raw = json.load(handle)
     except (OSError, ValueError) as exc:
         raise InputFileError(f"{path}: {exc}") from exc
-    if not isinstance(raw, list) or not all(
-        isinstance(obj, dict) and isinstance(obj.get("coeffs"), list) for obj in raw
-    ):
+    if not isinstance(raw, list) or not all(isinstance(obj, dict) for obj in raw):
         raise InputFileError(f'{path}: expected a JSON list of objects, each with a "coeffs" list')
     out = []
     for obj in raw:

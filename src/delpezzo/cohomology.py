@@ -9,8 +9,6 @@ weak del Pezzo surface).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .lattice import (
     MINUS_K,
     ZERO,
@@ -18,6 +16,7 @@ from .lattice import (
     GENERAL,
     InternalFaultError,
     SurfaceConfiguration,
+    _Record,
     anticanonical_class,
     intersect,
 )
@@ -27,14 +26,17 @@ from .exact import mat_vec
 REDUCTION_CAP = 10_000
 
 
-@dataclass
-class ReductionTrace:
+class ReductionTrace(_Record):
     """Record of one fixed-part reduction: subtracted curves and the nef result."""
 
-    start: DivisorClass
-    steps: list[tuple[DivisorClass, int]] = field(default_factory=list)
-    result: DivisorClass | None = None
-    value: int | None = None
+    __slots__ = ("start", "steps", "result", "value")
+
+    def __init__(self, start: DivisorClass, steps: list[tuple[DivisorClass, int]] | None = None,
+                 result: DivisorClass | None = None, value: int | None = None):
+        self.start = start
+        self.steps = [] if steps is None else steps
+        self.result = result
+        self.value = value
 
 
 def _ceil_div(num: int, den: int) -> int:

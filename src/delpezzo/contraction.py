@@ -10,7 +10,6 @@ unique rational solution.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import component_labels, minus_two_curves, minus_two_gram_adjugate
@@ -19,20 +18,22 @@ from .lattice import (
     DivisorClass,
     QDivisorClass,
     SurfaceConfiguration,
+    _FrozenRecord,
     intersect,
 )
 
 
-@dataclass(frozen=True)
-class SigmaClass:
+class SigmaClass(_FrozenRecord):
     """A divisor class on the contracted surface, named by an upstairs representative.
 
     Two representatives name the same class iff they differ by an integer
     combination of (-2)-curves.
     """
 
-    rep: DivisorClass
-    cfg: SurfaceConfiguration
+    __slots__ = ("rep", "cfg")
+
+    def __init__(self, rep: DivisorClass, cfg: SurfaceConfiguration):
+        self._init(rep, cfg)
 
     def __str__(self) -> str:
         return f"push({self.rep})@{self.cfg.name}"

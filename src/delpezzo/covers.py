@@ -13,7 +13,6 @@ numerology uses to exclude a case, so it is never rounded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from .lattice import (
     AnyClass,
     DivisorClass,
     SurfaceConfiguration,
+    _FrozenRecord,
     canonical_class,
     class_from_json,
     get_configuration,
@@ -33,27 +33,25 @@ from .lattice import (
 Rational = int | Fraction
 
 
-@dataclass(frozen=True)
-class DoubleCoverScenario:
+class DoubleCoverScenario(_FrozenRecord):
     """Numbers entering the double-cover formulas, with 2M = D the branch relation.
 
     `pg_bound_class` names a class (with its configuration) whose h^0
     lower-bounds p_g of the cover; `k_plus_m_sq` is (K_S + M)^2.
     """
 
-    chi_base: int
-    m_dot_k: Rational
-    m_sq: Rational
-    k_plus_m_sq: Rational
-    pg_bound_class: tuple[DivisorClass, SurfaceConfiguration] | None = None
-    label: str = ""
+    __slots__ = ("chi_base", "m_dot_k", "m_sq", "k_plus_m_sq", "pg_bound_class", "label")
+
+    def __init__(self, chi_base: int, m_dot_k: Rational, m_sq: Rational, k_plus_m_sq: Rational,
+                 pg_bound_class: tuple[DivisorClass, SurfaceConfiguration] | None = None, label: str = ""):
+        self._init(chi_base, m_dot_k, m_sq, k_plus_m_sq, pg_bound_class, label)
 
 
-@dataclass(frozen=True)
-class CoverInvariants:
-    chi: Rational
-    k_sq: Rational
-    pg_lower: int
+class CoverInvariants(_FrozenRecord):
+    __slots__ = ("chi", "k_sq", "pg_lower")
+
+    def __init__(self, chi: Rational, k_sq: Rational, pg_lower: int):
+        self._init(chi, k_sq, pg_lower)
 
     @property
     def chi_is_integral(self) -> bool:
@@ -96,14 +94,14 @@ def ramification_check(rprime_dot_pullback: Rational, pullback_sq: Rational) -> 
 # Bidouble covers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BidoubleData:
+class BidoubleData(_FrozenRecord):
     """Branch components of a (Z/2)^2-cover, one multiset of classes per index."""
 
-    d1: tuple[DivisorClass, ...]
-    d2: tuple[DivisorClass, ...]
-    d3: tuple[DivisorClass, ...]
-    cfg: SurfaceConfiguration
+    __slots__ = ("d1", "d2", "d3", "cfg")
+
+    def __init__(self, d1: tuple[DivisorClass, ...], d2: tuple[DivisorClass, ...],
+                 d3: tuple[DivisorClass, ...], cfg: SurfaceConfiguration):
+        self._init(d1, d2, d3, cfg)
 
     @property
     def branch_classes(self) -> tuple[DivisorClass, DivisorClass, DivisorClass]:
@@ -129,12 +127,11 @@ def _half(d: DivisorClass, which: tuple[int, int]) -> DivisorClass:
     return DivisorClass(tuple(c // 2 for c in d.coeffs))
 
 
-@dataclass(frozen=True)
-class BidoubleInvariants:
-    pg: int
-    q: int
-    k_sq: int
-    bicanonical_is_cover: bool
+class BidoubleInvariants(_FrozenRecord):
+    __slots__ = ("pg", "q", "k_sq", "bicanonical_is_cover")
+
+    def __init__(self, pg: int, q: int, k_sq: int, bicanonical_is_cover: bool):
+        self._init(pg, q, k_sq, bicanonical_is_cover)
 
 
 def bidouble_invariants(b: BidoubleData) -> BidoubleInvariants:
@@ -166,11 +163,11 @@ def bidouble_invariants(b: BidoubleData) -> BidoubleInvariants:
 # Surface numerology
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurfaceNumerology:
-    euler: int
-    h2: int
-    max_disjoint_minus4: int
+class SurfaceNumerology(_FrozenRecord):
+    __slots__ = ("euler", "h2", "max_disjoint_minus4")
+
+    def __init__(self, euler: int, h2: int, max_disjoint_minus4: int):
+        self._init(euler, h2, max_disjoint_minus4)
 
 
 def surface_numerology(chi: int, k_sq: int) -> SurfaceNumerology:

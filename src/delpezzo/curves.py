@@ -11,7 +11,6 @@ with C^2 = C.K = -1, filtered by non-negative pairing against the irreducible
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -23,6 +22,7 @@ from .lattice import (
     DivisorClass,
     InternalFaultError,
     SurfaceConfiguration,
+    _FrozenRecord,
     intersect,
 )
 
@@ -32,17 +32,16 @@ class CurveKind(Enum):
     MINUS_TWO = -2
 
 
-@dataclass(frozen=True)
-class NegativeCurve:
-    cls: DivisorClass
-    kind: CurveKind
+class NegativeCurve(_FrozenRecord):
+    __slots__ = ("cls", "kind")
 
-    def __post_init__(self):
-        sq = intersect(self.cls, self.cls)
-        k = intersect(self.cls, K)
-        expected = (-1, -1) if self.kind is CurveKind.MINUS_ONE else (-2, 0)
+    def __init__(self, cls: DivisorClass, kind: CurveKind):
+        sq = intersect(cls, cls)
+        k = intersect(cls, K)
+        expected = (-1, -1) if kind is CurveKind.MINUS_ONE else (-2, 0)
         if (sq, k) != expected:
-            raise ValueError(f"{self.cls} has (C^2, C.K) = {(sq, k)}, not {expected}")
+            raise ValueError(f"{cls} has (C^2, C.K) = {(sq, k)}, not {expected}")
+        self._init(cls, kind)
 
 
 #: The ten (-1)-classes of the lattice: E1..E4 and L - Ei - Ej.

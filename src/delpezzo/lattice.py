@@ -14,16 +14,18 @@ No floating point is used anywhere: integers are exact, rationals are
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .exact import bareiss, mat_vec
 
-RANK = 5
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-Coeff = Union[int, Fraction]
+    Coeff = Union[int, Fraction]
+
+RANK = 5
 
 
 class InternalFaultError(RuntimeError):
@@ -31,6 +33,10 @@ class InternalFaultError(RuntimeError):
 
 
 def _as_int(x: Coeff) -> int:
+    if type(x) is int:
+        return x
+    from fractions import Fraction
+
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"expected exact integer/rational coefficient, got {x!r}")
     if isinstance(x, Fraction):
@@ -40,16 +46,77 @@ def _as_int(x: Coeff) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class _Record:
+    """Base of the package's value types, which list their fields in
+    `__slots__`.  `==` and `repr` follow the slots in order, as `dataclasses`
+    generates them: two records are equal when they are of the same class and
+    their field values are equal, and the repr reads ``Name(field=value, ...)``.
+    A `_Record` is mutable and unhashable; a `_FrozenRecord` is neither."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        if len(names) == 1:
+            get = attrgetter(names[0])
+            cls._values = staticmethod(lambda self: (get(self),))
+        elif names:
+            cls._values = staticmethod(attrgetter(*names))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """An immutable record, hashed like a frozen dataclass: by the tuple of
+    its field values."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _init(self, *values) -> None:
+        """Set the fields in slot order, past the assignment guard."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def _compare(op):
+        """An ordering method: `op` on the field tuples of two records of the
+        same class, as `dataclass(order=True)` generates it."""
+
+        def compare(self, other):
+            if other.__class__ is self.__class__:
+                return op(self._values(self), other._values(other))
+            return NotImplemented
+
+        return compare
+
+
+class DivisorClass(_FrozenRecord):
     """Integer class c0*L + c1*E1 + ... + c4*E4 in the standard basis."""
 
-    coeffs: tuple[int, int, int, int, int]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if len(self.coeffs) != RANK:
-            raise ValueError(f"need {RANK} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(_as_int(c) for c in self.coeffs))
+    def __init__(self, coeffs: tuple[int, int, int, int, int]):
+        if len(coeffs) != RANK:
+            raise ValueError(f"need {RANK} coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "coeffs", tuple(_as_int(c) for c in coeffs))
 
     @classmethod
     def _unchecked(cls, coeffs: tuple[int, ...]) -> "DivisorClass":
@@ -78,6 +145,8 @@ class DivisorClass:
     def __rmul__(self, n):
         if isinstance(n, int):
             return DivisorClass._unchecked(tuple(n * a for a in self.coeffs))
+        from fractions import Fraction
+
         if isinstance(n, Fraction):
             return QDivisorClass(tuple(n * a for a in self.coeffs))
         return NotImplemented
@@ -85,7 +154,7 @@ class DivisorClass:
     __mul__ = __rmul__
 
     def as_q(self) -> "QDivisorClass":
-        return QDivisorClass(tuple(Fraction(a) for a in self.coeffs))
+        return QDivisorClass(self.coeffs)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
@@ -94,18 +163,19 @@ class DivisorClass:
         return render_class(self.coeffs)
 
 
-@dataclass(frozen=True)
-class QDivisorClass:
+class QDivisorClass(_FrozenRecord):
     """Exact-rational class in the standard basis (Mumford pullbacks live here)."""
 
-    coeffs: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if len(self.coeffs) != RANK:
-            raise ValueError(f"need {RANK} coefficients, got {len(self.coeffs)}")
-        if any(isinstance(c, float) for c in self.coeffs):
+    def __init__(self, coeffs: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]):
+        from fractions import Fraction
+
+        if len(coeffs) != RANK:
+            raise ValueError(f"need {RANK} coefficients, got {len(coeffs)}")
+        if any(isinstance(c, float) for c in coeffs):
             raise TypeError("coefficients must be exact integers or Fractions, not floats")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
 
     def dot(self, other: "DivisorClass | QDivisorClass") -> Coeff:
         return intersect(self, other)
@@ -125,6 +195,8 @@ class QDivisorClass:
         return QDivisorClass(tuple(-a for a in self.coeffs))
 
     def __rmul__(self, n):
+        from fractions import Fraction
+
         if isinstance(n, (int, Fraction)):
             return QDivisorClass(tuple(n * a for a in self.coeffs))
         return NotImplemented
@@ -177,8 +249,7 @@ MINUS_K = -K
 # Surface configurations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurfaceConfiguration:
+class SurfaceConfiguration(_FrozenRecord):
     """Position data of the four blown-up points.
 
     `collinear` is the set of point indices lying on one line, `chains` the
@@ -186,9 +257,10 @@ class SurfaceConfiguration:
     previous one).  The seven supported configurations are in CONFIGURATIONS.
     """
 
-    name: str
-    collinear: frozenset[int]
-    chains: tuple[tuple[int, ...], ...]
+    __slots__ = ("name", "collinear", "chains")
+
+    def __init__(self, name: str, collinear: frozenset[int], chains: tuple[tuple[int, ...], ...]):
+        self._init(name, collinear, chains)
 
     @property
     def is_general(self) -> bool:
@@ -289,6 +361,10 @@ def from_curve_basis(v: Sequence[Coeff], cfg: SurfaceConfiguration) -> AnyClass:
     if len(v) != RANK:
         raise ValueError(f"need {RANK} coordinates, got {len(v)}")
     coords = mat_vec(_curve_to_standard_matrix(cfg), v)
+    if all(type(x) is int for x in coords):
+        return DivisorClass(coords)
+    from fractions import Fraction
+
     if all(isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1) for x in coords):
         return DivisorClass(tuple(int(x) for x in coords))
     return QDivisorClass(tuple(Fraction(x) for x in coords))
@@ -367,7 +443,7 @@ def render_class(coords: Sequence[Coeff], symbols: Sequence[str] = ("l", "e1", "
 
 
 def _coeff_to_json(c: Coeff):
-    if isinstance(c, Fraction) and c.denominator != 1:
+    if c.denominator != 1:
         return f"{c.numerator}/{c.denominator}"
     return int(c)
 
@@ -376,6 +452,8 @@ def rational_from_json(x) -> Coeff:
     """An exact JSON number: an integer or a "p/q" string; floats and booleans
     are rejected."""
     if isinstance(x, str):
+        from fractions import Fraction
+
         num, _, den = x.partition("/")
         return Fraction(int(num), int(den) if den else 1)
     if isinstance(x, int) and not isinstance(x, bool):
@@ -395,8 +473,13 @@ def class_to_json(d: AnyClass, cfg: SurfaceConfiguration, basis: str = "standard
 
 
 def class_from_json(obj: dict) -> tuple[AnyClass, SurfaceConfiguration]:
+    """Inverse of `class_to_json`; "coeffs" must be a JSON list of exact
+    numbers."""
     cfg = get_configuration(obj.get("config", "GENERAL"))
-    coords = [rational_from_json(x) for x in obj["coeffs"]]
+    coeffs = obj.get("coeffs")
+    if not isinstance(coeffs, list):
+        raise ValueError(f'"coeffs": expected a JSON list, got {coeffs!r}')
+    coords = [rational_from_json(x) for x in coeffs]
     basis = obj.get("basis", "standard")
     if basis == "curve":
         return from_curve_basis(coords, cfg), cfg
@@ -404,4 +487,4 @@ def class_from_json(obj: dict) -> tuple[AnyClass, SurfaceConfiguration]:
         raise ValueError(f"unknown basis {basis!r}")
     if all(isinstance(c, int) or c.denominator == 1 for c in coords):
         return DivisorClass(tuple(int(c) for c in coords)), cfg
-    return QDivisorClass(tuple(Fraction(c) for c in coords)), cfg
+    return QDivisorClass(tuple(coords)), cfg

@@ -14,7 +14,6 @@ used to normalize it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -25,6 +24,7 @@ from .lattice import (
     K,
     L,
     DivisorClass,
+    _FrozenRecord,
     intersect,
 )
 
@@ -44,19 +44,17 @@ def _columns_to_matrix(images: list[DivisorClass]) -> Matrix:
     return tuple(tuple(images[j].coeffs[i] for j in range(5)) for i in range(5))
 
 
-@dataclass(frozen=True)
-class LatticeAutomorphism:
+class LatticeAutomorphism(_FrozenRecord):
     """Integer 5x5 matrix acting on standard-basis coefficient vectors."""
 
-    matrix: Matrix
-    name: str = ""
+    __slots__ = ("matrix", "name")
 
-    def __post_init__(self):
-        if len(self.matrix) != 5 or any(len(row) != 5 or any(type(x) is not int for x in row)
-                                        for row in self.matrix):
-            raise ValueError(f"need a 5x5 integer matrix, got {self.matrix}")
+    def __init__(self, matrix: Matrix, name: str = ""):
+        if len(matrix) != 5 or any(len(row) != 5 or any(type(x) is not int for x in row) for row in matrix):
+            raise ValueError(f"need a 5x5 integer matrix, got {matrix}")
+        self._init(matrix, name)
         if not self.preserves_gram():
-            raise ValueError(f"matrix does not preserve the intersection form: {self.matrix}")
+            raise ValueError(f"matrix does not preserve the intersection form: {matrix}")
         if self.apply(K) != K:
             raise ValueError("automorphism must fix the canonical class")
 
@@ -167,11 +165,12 @@ def line_orbits(group: tuple[LatticeAutomorphism, ...] | None = None) -> list[se
     return orbits
 
 
-@dataclass(frozen=True)
-class LineTransitivityReport:
-    transitive_on_lines: bool
-    stabilizer_transitive_on_disjoint: bool
-    transitive_on_disjoint_pairs: bool
+class LineTransitivityReport(_FrozenRecord):
+    __slots__ = ("transitive_on_lines", "stabilizer_transitive_on_disjoint", "transitive_on_disjoint_pairs")
+
+    def __init__(self, transitive_on_lines: bool, stabilizer_transitive_on_disjoint: bool,
+                 transitive_on_disjoint_pairs: bool):
+        self._init(transitive_on_lines, stabilizer_transitive_on_disjoint, transitive_on_disjoint_pairs)
 
     def all_hold(self) -> bool:
         return (

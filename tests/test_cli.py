@@ -217,3 +217,27 @@ def test_parts_file_of_integral_classes(tmp_path, capsys):
     code, out, _ = invoke(capsys, "decompose", "--class", "l-e4", "--parts", f"file:{parts}")
     assert code == 0
     assert out == "l-e4\n"
+
+
+@pytest.mark.parametrize("command", ["cover", "transport"])
+def test_bidouble_scenario_with_string_coefficients_exits_3(tmp_path, capsys, command):
+    """Each branch component must be a JSON list; "00010" used to read as e3."""
+    source = resources.files("delpezzo.data").joinpath("scenarios/bidouble_burniat.json")
+    raw = json.loads(source.read_text())
+    raw["D1"][0] = "00010"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = invoke(capsys, command, "--scenario", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "expected a JSON list" in err
+    assert "Traceback" not in err
+
+
+def test_parts_file_object_without_coeffs_exits_3(tmp_path, capsys):
+    parts = tmp_path / "parts.json"
+    parts.write_text(json.dumps([{"basis": "standard"}]))
+    code, out, err = invoke(capsys, "decompose", "--class", "l-e4", "--parts", f"file:{parts}")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "expected a JSON list" in err

@@ -8,6 +8,7 @@ the former generator-expression products, kept here as independent oracles.
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,25 +180,41 @@ def test_pullback_and_combination_test_match_the_oracle(name):
     assert hits > 0
 
 
+@lru_cache(maxsize=None)
+def oracle_solutions(n, pairing_bound):
+    """The target-independent part of `oracle_preimage_search` on n nodes: for
+    each graph whose Fraction definiteness test passes, in enumeration order,
+    its key and every (pairing vector, solution, E-pairing of the solution)
+    with an all-positive solution.  Cached per (n, pairing_bound), apart from
+    the package's own pattern cache."""
+    graphs = []
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        edges = tuple(p for p, b in zip(pairs, bits) if b)
+        neg = [[2 if i == j else -int((min(i, j), max(i, j)) in edges) for j in range(n)] for i in range(n)]
+        if any(fraction_det([row[:k] for row in neg[:k]]) <= 0 for k in range(1, n + 1)):
+            continue
+        key = (component_labels(n, edges), _canonical_edges(n, edges))
+        solutions = []
+        for ks in itertools.product(range(pairing_bound + 1), repeat=n):
+            xs = gauss_jordan_solve(neg, ks)
+            if any(x <= 0 for x in xs):
+                continue
+            solutions.append((ks, tuple(xs), sum((x * k for x, k in zip(xs, ks)), Fraction(0))))
+        graphs.append((key, tuple(solutions)))
+    return tuple(graphs)
+
+
 def oracle_preimage_search(chain_bound, target, pairing_bound):
     """The replaced search: Fraction definiteness test and one Fraction solve
     per pairing vector.  Maps (labels, canonical edges) to the first witness."""
     found = {}
     for n in range(chain_bound + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for bits in itertools.product((0, 1), repeat=len(pairs)):
-            edges = tuple(p for p, b in zip(pairs, bits) if b)
-            neg = [[2 if i == j else -int((min(i, j), max(i, j)) in edges) for j in range(n)] for i in range(n)]
-            if any(fraction_det([row[:k] for row in neg[:k]]) <= 0 for k in range(1, n + 1)):
-                continue
-            key = (component_labels(n, edges), _canonical_edges(n, edges))
-            for ks in itertools.product(range(pairing_bound + 1), repeat=n):
-                xs = gauss_jordan_solve(neg, ks)
-                if any(x <= 0 for x in xs):
-                    continue
-                e_sq = target - sum((x * k for x, k in zip(xs, ks)), Fraction(0))
+        for key, solutions in oracle_solutions(n, pairing_bound):
+            for ks, xs, pairing in solutions:
+                e_sq = target - pairing
                 if e_sq.denominator == 1 and e_sq % 2 == 0:
-                    found.setdefault(key, (ks, e_sq, tuple(xs)))
+                    found.setdefault(key, (ks, e_sq, xs))
     return found
 
 

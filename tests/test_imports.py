@@ -139,6 +139,19 @@ def test_h0_query_loads_only_what_it_uses():
     assert not loaded & {"json", "csv"}
 
 
+def test_h0_query_loads_no_dataclasses_or_fractions():
+    loaded = loaded_by(
+        "import contextlib, io, delpezzo.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert delpezzo.cli.run(['h0', '--class', 'l']) == 0"
+    )
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
+
+
+def test_verify_import_loads_no_dataclasses():
+    assert "dataclasses" not in loaded_by("import delpezzo.verify")
+
+
 def scenario(name: str) -> str:
     return str(resources.files("delpezzo.data").joinpath(f"scenarios/{name}"))
 
@@ -179,3 +192,19 @@ def test_subcommand_exits_zero_in_a_fresh_interpreter(command, tmp_path):
     argvs = [[a.format(parts=parts) for a in argv] for argv in COMMANDS[command]]
     result = fresh_python(RUN_ALL, json.dumps(argvs))
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_subcommand_loads_no_dataclasses(command, tmp_path):
+    parts = tmp_path / "parts.json"
+    parts.write_text(json.dumps([{"coeffs": [1, 0, 0, 0, -1]}]))
+    argvs = [[a.format(parts=parts) for a in argv] for argv in COMMANDS[command]]
+    loaded = loaded_by(
+        "import contextlib, io\n"
+        "from delpezzo.cli import run\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert run(argv) == 0, argv"
+    )
+    assert "delpezzo.cli" in loaded
+    assert "dataclasses" not in loaded

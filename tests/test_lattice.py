@@ -281,3 +281,17 @@ def test_json_rejects_booleans():
 def test_q_class_rejects_floats():
     with pytest.raises(TypeError):
         QDivisorClass((1.5, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("coeffs", ["12345", "00010", 5, None, {"0": 1}, (1, 0, 0, 0, 0)])
+def test_json_coefficients_must_be_a_list(coeffs):
+    """A string is not read digit by digit, nor any other non-list as a vector."""
+    with pytest.raises(ValueError, match="expected a JSON list"):
+        class_from_json({"coeffs": coeffs, "basis": "standard", "config": "GENERAL"})
+    with pytest.raises(ValueError, match="expected a JSON list"):
+        class_from_json({"coeffs": coeffs, "basis": "curve", "config": "P4"})
+
+
+def test_json_coefficients_are_required():
+    with pytest.raises(ValueError, match="expected a JSON list"):
+        class_from_json({"basis": "standard", "config": "GENERAL"})
