@@ -13,12 +13,10 @@ report, never by silent equality.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from operator import ge, gt, le, lt
 
 from .cohomology import h0
@@ -68,6 +66,11 @@ class ConstraintSystem(_FrozenRecord):
 
     L_SQ_RANGE = (0, 2)
     E_SQ_RANGE = (-2, -4, -6)
+
+    @property
+    def columns(self) -> list[str]:
+        """Table column names, in `SolutionRow.as_tuple` order."""
+        return [*"abcd"[: self.chain_length], "L_sq", "L_dot_E", "E_sq", "E_dot_Z"]
 
     def chain_quadratic(self, z: tuple[int, ...]) -> int:
         return sum(c * c for c in z) - sum(a * b for a, b in zip(z, z[1:]))
@@ -156,20 +159,17 @@ CONSTRAINT_SYSTEMS: dict[str, ConstraintSystem] = {
     "p6": ConstraintSystem("p6", 4, strict_l_dot_z=False, tie_break="a >= d"),
 }
 
-COEFFICIENT_SCAN_BOUND = 16
 
-
-def enumerate_table(case: str, bound: int = COEFFICIENT_SCAN_BOUND) -> tuple[SolutionRow, ...]:
+def enumerate_table(case: str) -> tuple[SolutionRow, ...]:
     """All admissible rows for one case, in lexicographic order.
 
-    Chain coefficient i runs over [1, min(bound, cap_i)] with the caps of
+    Chain coefficient i runs over [1, cap_i] with the caps of
     `ConstraintSystem.coefficient_caps`: every row lies in the ellipsoid of
     the positive definite chain form, so the scan is exhaustive by
-    construction (4 for p4, 5 for p5 and p6) and any bound above the caps
-    gives the same rows.
+    construction (4 for p4, 5 for p5 and p6).
     """
     system = CONSTRAINT_SYSTEMS[case]
-    ranges = [range(1, min(bound, cap) + 1) for cap in system.coefficient_caps()]
+    ranges = [range(1, cap + 1) for cap in system.coefficient_caps()]
     # One pass over the capped box, bucketed by the chain-quadratic value;
     # each (L^2, L.E, E^2) cell then reads off its right-hand side.
     by_quadratic: dict[int, list[tuple[int, ...]]] = {}
@@ -203,26 +203,18 @@ def enumerate_table(case: str, bound: int = COEFFICIENT_SCAN_BOUND) -> tuple[Sol
 # Published-table fixtures and the diff protocol
 # ---------------------------------------------------------------------------
 
-def _data_path(name: str):
-    return resources.files("delpezzo.data").joinpath(name)
-
-
 def load_printed_table(case: str) -> tuple[SolutionRow, ...]:
     """The published rows, bundled verbatim (including their misprints)."""
+    import csv
+    from importlib import resources
+
     system = CONSTRAINT_SYSTEMS[case]
+    n = system.chain_length
     rows = []
-    with _data_path(f"tables/table_{case}.csv").open() as fh:
+    with resources.files("delpezzo.data").joinpath(f"tables/table_{case}.csv").open() as fh:
         for record in csv.DictReader(fh):
-            z = tuple(int(record[key]) for key in "abcd"[: system.chain_length])
-            rows.append(
-                SolutionRow(
-                    z_coeffs=z,
-                    l_sq=int(record["L_sq"]),
-                    l_dot_e=int(record["L_dot_E"]),
-                    e_sq=int(record["E_sq"]),
-                    e_dot_z=int(record["E_dot_Z"]),
-                )
-            )
+            values = [int(record[key]) for key in system.columns]
+            rows.append(SolutionRow(tuple(values[:n]), *values[n:]))
     return tuple(rows)
 
 
@@ -309,9 +301,7 @@ def diff_tables(case: str, enumerated: tuple[SolutionRow, ...] | None = None) ->
 
 
 def rows_to_csv(case: str, rows: tuple[SolutionRow, ...]) -> str:
-    system = CONSTRAINT_SYSTEMS[case]
-    header = list("abcd"[: system.chain_length]) + ["L_sq", "L_dot_E", "E_sq", "E_dot_Z"]
-    lines = [",".join(header)]
+    lines = [",".join(CONSTRAINT_SYSTEMS[case].columns)]
     for row in rows:
         lines.append(",".join(str(x) for x in row.as_tuple()))
     return "\n".join(lines) + "\n"

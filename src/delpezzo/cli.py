@@ -313,9 +313,8 @@ def _cmd_tables(args) -> int:
     from . import casework
 
     rows = casework.enumerate_table(args.case)
-    system = casework.CONSTRAINT_SYSTEMS[args.case]
-    header = list("abcd"[: system.chain_length]) + ["L_sq", "L_dot_E", "E_sq", "E_dot_Z"]
-    dict_rows = [dict(zip(header, r.as_tuple())) for r in rows]
+    columns = casework.CONSTRAINT_SYSTEMS[args.case].columns
+    dict_rows = [dict(zip(columns, r.as_tuple())) for r in rows]
     _print_rows(dict_rows, "csv" if args.format == "csv" else args.format)
     if not args.no_diff:
         diff = casework.diff_tables(args.case, rows)

@@ -3,8 +3,10 @@
 The reduction loop subtracts irreducible negative curves that pair negatively
 with the class; such curves are fixed components and carry no sections, so h^0
 is invariant along the loop.  On exit the class pairs >= 0 with every negative
-curve, hence is nef, and h^0 equals chi (h^1 = h^2 = 0 for nef classes on a
-weak del Pezzo surface).
+curve.  These curves generate the Mori cone, so the class is nef, and h^0
+equals chi (h^1 = h^2 = 0 for nef classes on a weak del Pezzo surface).  -K is
+nef and big, so by the Hodge index theorem the only nef class of degree 0 is
+0, where chi = 1 as well.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from .lattice import (
     anticanonical_class,
     intersect,
 )
-from .curves import ALL_MINUS_ONE_CLASSES, minus_two_curves, minus_two_gram_adjugate, negative_curve_classes
-from .exact import mat_vec
+from .curves import ALL_MINUS_ONE_CLASSES, negative_curve_classes
 
 REDUCTION_CAP = 10_000
 
@@ -64,41 +65,18 @@ def _reduce_to_nef(d: DivisorClass, cfg: SurfaceConfiguration, trace: ReductionT
     )
 
 
-def _is_nonnegative_minus_two_combination(d: DivisorClass, cfg: SurfaceConfiguration) -> bool:
-    """Solve d = sum(n_T * T) over the (-2)-curves; the T are independent.
-
-    Pairing with each T gives G n = (d.T), so n = adj * (d.T) / det.
-    """
-    thetas = [t.cls for t in minus_two_curves(cfg)]
-    adj, det = minus_two_gram_adjugate(cfg)
-    combo = d
-    for y, theta in zip(mat_vec(adj, [intersect(d, t) for t in thetas]), thetas):
-        if y % det or y // det < 0:
-            return False
-        combo = combo - (y // det) * theta
-    return combo.is_zero()
-
-
 def h0_with_trace(d: DivisorClass, cfg: SurfaceConfiguration) -> ReductionTrace:
     from .lattice import riemann_roch_chi
 
     trace = ReductionTrace(start=d)
-    if intersect(d, MINUS_K) < 0:
-        # Effective classes pair >= 0 with the nef class -K, so h^0 = 0.
-        trace.value = 0
-        return trace
     nef = _reduce_to_nef(d, cfg, trace)
     if nef is None:
         trace.value = 0
         return trace
+    if intersect(nef, MINUS_K) == 0 and not nef.is_zero():
+        raise InternalFaultError(f"nef class {nef} of degree 0 reduced from {d} is not zero")
     trace.result = nef
-    degree = intersect(nef, MINUS_K)
-    if degree > 0:
-        trace.value = riemann_roch_chi(nef)
-    elif nef.is_zero() or _is_nonnegative_minus_two_combination(nef, cfg):
-        trace.value = 1
-    else:
-        trace.value = 0
+    trace.value = riemann_roch_chi(nef)
     return trace
 
 

@@ -21,6 +21,7 @@ from .lattice import (
     AnyClass,
     DivisorClass,
     SurfaceConfiguration,
+    ZERO,
     _FrozenRecord,
     canonical_class,
     class_from_json,
@@ -105,18 +106,11 @@ class BidoubleData(_FrozenRecord):
 
     @property
     def branch_classes(self) -> tuple[DivisorClass, DivisorClass, DivisorClass]:
-        return tuple(_class_sum(part) for part in (self.d1, self.d2, self.d3))
+        return tuple(sum(part, ZERO) for part in (self.d1, self.d2, self.d3))
 
     def total(self) -> DivisorClass:
         a, b, c = self.branch_classes
         return a + b + c
-
-
-def _class_sum(classes: tuple[DivisorClass, ...]) -> DivisorClass:
-    total = DivisorClass((0, 0, 0, 0, 0))
-    for c in classes:
-        total = total + c
-    return total
 
 
 def _half(d: DivisorClass, which: tuple[int, int]) -> DivisorClass:
@@ -146,7 +140,7 @@ def bidouble_invariants(b: BidoubleData) -> BidoubleInvariants:
     ]
     total = d1 + d2 + d3
     k_sq = intersect(2 * k + total, 2 * k + total)
-    chi = 4 * riemann_roch_chi(DivisorClass((0, 0, 0, 0, 0)))  # 4 * chi(O)
+    chi = 4 * riemann_roch_chi(ZERO)  # 4 * chi(O)
     chi_corr = Fraction(0)
     for li in halves:
         chi_corr += Fraction(intersect(li, k + li), 2)

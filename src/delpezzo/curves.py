@@ -161,16 +161,10 @@ def ruling_candidates() -> tuple[DivisorClass, ...]:
     """All lattice classes with f^2 = 0 and -K.f = 2.
 
     Writing f = a*L - sum(bi*Ei), Cauchy-Schwarz forces a in {1, 2}; the
-    solutions are the four L - Ei and 2L - E1 - E2 - E3 - E4.
+    solutions, in coefficient order, are the four L - Ei and
+    2L - E1 - E2 - E3 - E4.
     """
-    found = []
-    for a in (1, 2):
-        target_sum, target_sq = 3 * a - 2, a * a
-        for bs in itertools.product(range(-2, 3), repeat=4):
-            if sum(bs) == target_sum and sum(b * b for b in bs) == target_sq:
-                found.append(DivisorClass((a, *(-b for b in bs))))
-    found.sort(key=_sort_key)
-    return tuple(found)
+    return (*(L - e for e in E), 2 * L - E[0] - E[1] - E[2] - E[3])
 
 
 @lru_cache(maxsize=None)

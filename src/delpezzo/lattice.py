@@ -175,7 +175,7 @@ class QDivisorClass(_FrozenRecord):
             raise ValueError(f"need {RANK} coefficients, got {len(coeffs)}")
         if any(isinstance(c, float) for c in coeffs):
             raise TypeError("coefficients must be exact integers or Fractions, not floats")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
 
     def dot(self, other: "DivisorClass | QDivisorClass") -> Coeff:
         return intersect(self, other)
@@ -360,14 +360,14 @@ def from_curve_basis(v: Sequence[Coeff], cfg: SurfaceConfiguration) -> AnyClass:
     """Class with curve-basis coordinates v, as a standard-basis class."""
     if len(v) != RANK:
         raise ValueError(f"need {RANK} coordinates, got {len(v)}")
-    coords = mat_vec(_curve_to_standard_matrix(cfg), v)
-    if all(type(x) is int for x in coords):
-        return DivisorClass(coords)
-    from fractions import Fraction
+    return _exact_class(mat_vec(_curve_to_standard_matrix(cfg), v))
 
-    if all(isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1) for x in coords):
-        return DivisorClass(tuple(int(x) for x in coords))
-    return QDivisorClass(tuple(Fraction(x) for x in coords))
+
+def _exact_class(coords: Sequence[Coeff]) -> AnyClass:
+    """A `DivisorClass` when every coordinate is integral, else a `QDivisorClass`."""
+    if all(getattr(x, "denominator", None) == 1 for x in coords):
+        return DivisorClass(tuple(coords))
+    return QDivisorClass(tuple(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +485,4 @@ def class_from_json(obj: dict) -> tuple[AnyClass, SurfaceConfiguration]:
         return from_curve_basis(coords, cfg), cfg
     if basis != "standard":
         raise ValueError(f"unknown basis {basis!r}")
-    if all(isinstance(c, int) or c.denominator == 1 for c in coords):
-        return DivisorClass(tuple(int(c) for c in coords)), cfg
-    return QDivisorClass(tuple(coords)), cfg
+    return _exact_class(coords), cfg

@@ -23,6 +23,7 @@ from .lattice import (
     E,
     K,
     L,
+    ZERO,
     DivisorClass,
     _FrozenRecord,
     intersect,
@@ -102,7 +103,7 @@ def cremona_automorphism(base: set[int] | frozenset[int] | tuple[int, ...]) -> L
     base = frozenset(base)
     if len(base) != 3 or not base <= {1, 2, 3, 4}:
         raise ValueError(f"base must be a 3-subset of {{1,2,3,4}}, got {set(base)}")
-    images = [2 * L - sum((E[i - 1] for i in base), DivisorClass((0, 0, 0, 0, 0)))]
+    images = [2 * L - sum((E[i - 1] for i in base), ZERO)]
     for i in (1, 2, 3, 4):
         if i in base:
             j, k = sorted(base - {i})

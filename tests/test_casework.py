@@ -68,11 +68,6 @@ def test_enumeration_counts(case, count):
     assert len(enumerate_table(case)) == count
 
 
-@pytest.mark.parametrize("case", ["p4", "p5", "p6"])
-def test_saturation_doubling_the_bound_adds_nothing(case):
-    assert enumerate_table(case, bound=32) == enumerate_table(case)
-
-
 def box_table(case: str, bound: int) -> tuple[SolutionRow, ...]:
     """The unpruned scan over [1, bound]^n, as before the ellipsoid caps:
     an oracle for the capped enumeration."""

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from delpezzo.cohomology import (
     REDUCTION_CAP,
+    ReductionTrace,
+    _reduce_to_nef,
     find_all_half_anticanonical_pencils,
     find_half_anticanonical_pencils,
     h0,
@@ -15,7 +17,8 @@ from delpezzo.cohomology import (
     half_anticanonical_candidates,
     is_effective,
 )
-from delpezzo.curves import ruling_classes
+from delpezzo.curves import minus_two_curves, minus_two_gram_adjugate, ruling_classes
+from delpezzo.exact import mat_vec
 from delpezzo.lattice import (
     CONFIGURATIONS,
     E,
@@ -111,6 +114,62 @@ def test_nef_classes_need_no_reduction():
     trace = h0_with_trace(MINUS_K, GENERAL)
     assert trace.steps == []
     assert trace.value == riemann_roch_chi(MINUS_K) == 6
+
+
+def oracle_is_nonnegative_minus_two_combination(d, cfg):
+    """Solve d = sum(n_T * T) over the (-2)-curves; the T are independent.
+
+    Pairing with each T gives G n = (d.T), so n = adj * (d.T) / det.
+    """
+    thetas = [t.cls for t in minus_two_curves(cfg)]
+    adj, det = minus_two_gram_adjugate(cfg)
+    combo = d
+    for y, theta in zip(mat_vec(adj, [intersect(d, t) for t in thetas]), thetas):
+        if y % det or y // det < 0:
+            return False
+        combo = combo - (y // det) * theta
+    return combo.is_zero()
+
+
+def oracle_h0_with_trace(d, cfg):
+    """The former h0_with_trace: a degree pre-check, and a (-2)-lattice solve
+    for a nef part of degree 0."""
+    trace = ReductionTrace(start=d)
+    if intersect(d, MINUS_K) < 0:
+        trace.value = 0
+        return trace
+    nef = _reduce_to_nef(d, cfg, trace)
+    if nef is None:
+        trace.value = 0
+        return trace
+    trace.result = nef
+    degree = intersect(nef, MINUS_K)
+    if degree > 0:
+        trace.value = riemann_roch_chi(nef)
+    elif nef.is_zero() or oracle_is_nonnegative_minus_two_combination(nef, cfg):
+        trace.value = 1
+    else:
+        trace.value = 0
+    return trace
+
+
+COEFF_60 = st.integers(-60, 60)
+#: Classes with |coeff| <= 60; half of them of anticanonical degree
+#: 3*c0 + c1 + c2 + c3 + c4 = 0, where nef parts of degree 0 occur.
+CLASSES_60 = st.one_of(
+    st.tuples(*[COEFF_60] * 5),
+    st.tuples(*[COEFF_60] * 4).map(lambda v: (*v, -3 * v[0] - v[1] - v[2] - v[3])).filter(lambda v: abs(v[4]) <= 60),
+)
+
+
+@settings(max_examples=400)
+@given(CLASSES_60, st.sampled_from(sorted(CONFIGURATIONS)))
+def test_h0_trace_matches_the_minus_two_combination_oracle(v, name):
+    cfg, d = P[name], D(*v)
+    old = oracle_h0_with_trace(d, cfg)
+    assert h0_with_trace(d, cfg) == old
+    if old.result is not None and intersect(old.result, MINUS_K) == 0:
+        assert old.result.is_zero()
 
 
 @settings(max_examples=60)

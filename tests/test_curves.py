@@ -154,6 +154,23 @@ def test_ruling_candidates_are_the_five_conic_classes():
     }
 
 
+def box_ruling_candidates():
+    """The former scan: f = a*L - sum(bi*Ei) with a in {1, 2} and each bi in
+    [-2, 2], kept when f^2 = 0 and -K.f = 2, in coefficient order."""
+    found = []
+    for a in (1, 2):
+        for bs in itertools.product(range(-2, 3), repeat=4):
+            if sum(bs) == 3 * a - 2 and sum(b * b for b in bs) == a * a:
+                found.append(DivisorClass((a, *(-b for b in bs))))
+    return tuple(sorted(found, key=lambda d: d.coeffs))
+
+
+def test_ruling_candidates_equal_the_box_scan():
+    assert ruling_candidates() == box_ruling_candidates()
+    for f in ruling_candidates():
+        assert intersect(f, f) == 0 and intersect(f, -K) == 2
+
+
 def test_ruling_classes_general():
     assert len(ruling_classes(GENERAL, False)) == 5
     assert ruling_classes(GENERAL, True) == ruling_classes(GENERAL, False)

@@ -148,6 +148,16 @@ def test_h0_query_loads_no_dataclasses_or_fractions():
     assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
 
 
+def test_decompose_query_loads_no_csv():
+    loaded = loaded_by(
+        "import contextlib, io, delpezzo.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert delpezzo.cli.run(['decompose', '--class', 'l-e4']) == 0"
+    )
+    assert "delpezzo.casework" in loaded
+    assert "csv" not in loaded
+
+
 def test_verify_import_loads_no_dataclasses():
     assert "dataclasses" not in loaded_by("import delpezzo.verify")
 
