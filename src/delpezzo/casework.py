@@ -9,6 +9,11 @@ coefficients of Z together with L^2, L.E and E^2; the constraint system pins
 them down to finitely many rows.  The enumerator is the oracle of record;
 bundled copies of the published rows are compared through an explicit diff
 report, never by silent equality.
+
+Every search tests in integers: the tables bucket rows by the doubled
+quadratic identity, and the preimage search decides E^2 by one remainder
+per pairing vector.  Its (-2)-graphs are built once per node count, each by
+bordering a definite graph with one fewer node.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import ge, gt, le, lt
+from operator import ge, gt, le, lt, mul
 
 from .cohomology import h0
 from .curves import component_labels
-from .exact import bareiss, mat_vec
+from .exact import Matrix, bareiss, mat_vec
 from .lattice import DivisorClass, SurfaceConfiguration, _FrozenRecord, _Record, intersect
 
 TABLE_CASES = ("p4", "p5", "p6")
@@ -53,7 +58,8 @@ class ConstraintSystem(_FrozenRecord):
     chain_length: number of Z-coefficients (2 for the A2 point of P4, 3 for
     the A3 point of P5, 4 for the A4 point of P6).  The quadratic identity is
     quad(z) = 10 - 2*L^2 - 2*L.E - E^2/2 with quad the A_k chain form
-    sum(zi^2) - sum(zi*z_{i+1}); L.Z = 8 - 2*L^2 - L.E and
+    sum(zi^2) - sum(zi*z_{i+1}), compared doubled in integers as
+    2*quad(z) = 20 - 4*L^2 - 4*L.E - E^2; L.Z = 8 - 2*L^2 - L.E and
     E.Z = 4 - E^2 - 2*L.E are derived, E.Z strictly positive always, L.Z
     strictly positive only where the source derivation states it.  tie_break
     describes the symmetry-breaking inequality.
@@ -76,21 +82,28 @@ class ConstraintSystem(_FrozenRecord):
         return sum(c * c for c in z) - sum(a * b for a, b in zip(z, z[1:]))
 
     def quadratic_rhs(self, l_sq: int, l_dot_e: int, e_sq: int) -> Fraction:
-        return Fraction(10) - 2 * l_sq - 2 * l_dot_e - Fraction(e_sq, 2)
+        return Fraction(self.doubled_quadratic_rhs(l_sq, l_dot_e, e_sq), 2)
 
+    def doubled_quadratic_rhs(self, l_sq: int, l_dot_e: int, e_sq: int) -> int:
+        return 20 - 4 * l_sq - 4 * l_dot_e - e_sq
+
+    @lru_cache(maxsize=None)
     def coefficient_caps(self) -> tuple[int, ...]:
         """Upper bound on each chain coefficient of any admissible row.
 
         quad(z) = z^T C z / 2 with C the A_n Cartan matrix, which is positive
         definite; on the ellipsoid z^T C z / 2 <= R the largest z_i is
         sqrt(2 R (C^-1)_ii) = sqrt(2 R adj_ii / det).  R is the largest
-        right-hand side; it falls as L.E grows, so L.E = 0 attains it.
+        right-hand side; it falls as L.E grows, so L.E = 0 attains it, and
+        2R is the largest doubled right-hand side.  Computed once per system.
         """
         n = self.chain_length
         cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
         minors, adj = bareiss(cartan)
-        rhs = max(self.quadratic_rhs(l_sq, 0, e_sq) for l_sq in self.L_SQ_RANGE for e_sq in self.E_SQ_RANGE)
-        return tuple(math.isqrt(math.floor(2 * rhs * adj[i][i] / minors[-1])) for i in range(n))
+        two_r = max(
+            self.doubled_quadratic_rhs(l_sq, 0, e_sq) for l_sq in self.L_SQ_RANGE for e_sq in self.E_SQ_RANGE
+        )
+        return tuple(math.isqrt(two_r * adj[i][i] // minors[-1]) for i in range(n))
 
     def l_dot_z(self, l_sq: int, l_dot_e: int) -> int:
         return 8 - 2 * l_sq - l_dot_e
@@ -141,8 +154,8 @@ class ConstraintSystem(_FrozenRecord):
         ldz = self.l_dot_z(row.l_sq, row.l_dot_e)
         if (ldz <= 0) if self.strict_l_dot_z else (ldz < 0):
             out.append("L.Z > 0" if self.strict_l_dot_z else "L.Z >= 0")
-        rhs = self.quadratic_rhs(row.l_sq, row.l_dot_e, row.e_sq)
-        if self.chain_quadratic(row.z_coeffs) != rhs:
+        rhs = self.doubled_quadratic_rhs(row.l_sq, row.l_dot_e, row.e_sq)
+        if 2 * self.chain_quadratic(row.z_coeffs) != rhs:
             out.append("chain quadratic = 10 - 2*L^2 - 2*L.E - E^2/2")
         if not self.chain_inequalities_hold(row.z_coeffs):
             out.append("Z.theta_i <= 0 chain inequalities")
@@ -170,8 +183,8 @@ def enumerate_table(case: str) -> tuple[SolutionRow, ...]:
     """
     system = CONSTRAINT_SYSTEMS[case]
     ranges = [range(1, cap + 1) for cap in system.coefficient_caps()]
-    # One pass over the capped box, bucketed by the chain-quadratic value;
-    # each (L^2, L.E, E^2) cell then reads off its right-hand side.
+    # One pass over the capped box, bucketed by the doubled chain-quadratic
+    # value; each (L^2, L.E, E^2) cell then reads off its doubled right-hand side.
     by_quadratic: dict[int, list[tuple[int, ...]]] = {}
     for z in itertools.product(*ranges):
         if not system.tie_break_holds(z):
@@ -180,7 +193,7 @@ def enumerate_table(case: str) -> tuple[SolutionRow, ...]:
             continue
         if not system.chain_inequalities_hold(z):
             continue
-        by_quadratic.setdefault(system.chain_quadratic(z), []).append(z)
+        by_quadratic.setdefault(2 * system.chain_quadratic(z), []).append(z)
     rows = []
     for l_sq in system.L_SQ_RANGE:
         for e_sq in system.E_SQ_RANGE:
@@ -191,12 +204,13 @@ def enumerate_table(case: str) -> tuple[SolutionRow, ...]:
                 ldz = system.l_dot_z(l_sq, l_dot_e)
                 if (ldz <= 0) if system.strict_l_dot_z else (ldz < 0):
                     continue
-                rhs = system.quadratic_rhs(l_sq, l_dot_e, e_sq)
-                for z in by_quadratic.get(rhs, ()):
+                for z in by_quadratic.get(system.doubled_quadratic_rhs(l_sq, l_dot_e, e_sq), ()):
                     row = SolutionRow(z, l_sq, l_dot_e, e_sq, e_dot_z)
                     assert not system.violations(row), (row, system.violations(row))
                     rows.append(row)
-    return tuple(sorted(rows))
+    # Every row of a case has chain_length coefficients, so the flat tuples
+    # sort as the rows' field tuples do.
+    return tuple(sorted(rows, key=SolutionRow.as_tuple))
 
 
 # ---------------------------------------------------------------------------
@@ -328,33 +342,79 @@ class FeasibleConfiguration(_FrozenRecord):
         self._init(components, edges, curve_count, witness_pairings, witness_e_sq, witness_coefficients)
 
 
-def _incidence_patterns(n: int):
+@lru_cache(maxsize=None)
+def _definite_patterns(n: int) -> dict[tuple[tuple[int, int], ...], tuple[Matrix, int]]:
     """Graphs on n nodes with 0/1 pairings whose (-2)-Gram G is negative
-    definite, i.e. every leading minor of -G is positive; each comes with the
-    adjugate and determinant of -G."""
+    definite, i.e. every leading minor of -G is positive, in the order of
+    their edge bits over the node pairs; each maps to the adjugate and
+    determinant of -G.
+
+    Each graph extends its restriction to nodes 0..n-2 by one node, and the
+    first n-1 leading minors are those of the restriction, so only extensions
+    of a definite (n-1)-node graph can qualify.  Bordering -G' (adjugate A,
+    determinant d) with the new node, whose pairing column is -1 at its
+    neighbours N, gives with u = A * 1_N the determinant D = 2d - sum(u[N])
+    and the adjugate [[(D A + u u^T) / d, u], [u^T, d]], divisions exact.
+    """
+    if n == 0:
+        return {(): ((), 1)}
+    smaller = _definite_patterns(n - 1)
+    last = n - 1
     pairs = list(itertools.combinations(range(n), 2))
+    out = {}
     for bits in itertools.product((0, 1), repeat=len(pairs)):
         edges = tuple(p for p, b in zip(pairs, bits) if b)
-        neg = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i, j in edges:
-            neg[i][j] = neg[j][i] = -1
-        minors, adj = bareiss(neg)
-        if all(m > 0 for m in minors):
-            yield edges, adj, minors[-1]
+        restriction = smaller.get(tuple(p for p in edges if p[1] != last))
+        if restriction is None:
+            continue
+        adj, d = restriction
+        neighbours = [i for i, j in edges if j == last]
+        u = [sum(row[k] for k in neighbours) for row in adj]
+        det = 2 * d - sum(u[k] for k in neighbours)
+        if det > 0:
+            rows = [(*((det * a + ui * uj) // d for a, uj in zip(row, u)), ui) for row, ui in zip(adj, u)]
+            out[edges] = ((*rows, (*u, d)), det)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _distinct_patterns(n: int):
     """The negative definite patterns on n nodes up to relabelling: for each
-    (component labels, canonical edges) key, the first labelled graph of
-    `_incidence_patterns` with that key, as (key, adjugate, determinant).
+    (component labels, canonical edges) key, the first graph of
+    `_definite_patterns` with that key, as (key, adjugate, determinant).
     The pairing box is symmetric under relabelling the nodes, so a relabelled
-    graph is feasible exactly when its first labelling is."""
+    graph is feasible exactly when its first labelling is.
+
+    A negative definite pattern is a disjoint union of ADE diagrams.  Its
+    labels fix it up to isomorphism, so the canonical edges are computed once
+    per label, unless a component is branched with six or more nodes:
+    `component_labels` names both D_k and E_k "D<k>" there."""
     out = {}
-    for edges, adj, det in _incidence_patterns(n):
-        key = (component_labels(n, edges), _canonical_edges(n, edges))
-        out.setdefault(key, (key, adj, det))
+    for edges, (adj, det) in _definite_patterns(n).items():
+        labels = component_labels(n, edges)
+        ambiguous = any(label[0] == "D" and int(label[1:]) >= 6 for label in labels)
+        if not ambiguous and labels in out:
+            continue
+        key = (labels, _canonical_edges(n, edges))
+        out.setdefault(key if ambiguous else labels, (key, adj, det))
     return tuple(out.values())
+
+
+def _feasible_pairings(adj: Matrix, det: int, target: Fraction, pairing_bound: int):
+    """The pairing vectors ks in [0, pairing_bound]^n, in box order, whose
+    solution of -G x = ks is positive and gives an even integer
+    E^2 = target - x.ks, as (ks, ys, E^2) with x = ys / det.
+
+    With x = adj * ks / det and target = p/q, E^2 = (p*det - q*ys.ks) / (q*det),
+    so the test is one integer remainder."""
+    p, q = target.numerator, target.denominator
+    for ks in itertools.product(range(0, pairing_bound + 1), repeat=len(adj)):
+        ys = mat_vec(adj, ks)
+        if ys and min(ys) <= 0:
+            continue
+        num = p * det - q * sum(map(mul, ys, ks))
+        if num % (2 * q * det) == 0:
+            yield ks, ys, num // (q * det)
 
 
 def preimage_configuration_search(chain_bound: int, target_sq: Fraction | int,
@@ -366,6 +426,7 @@ def preimage_configuration_search(chain_bound: int, target_sq: Fraction | int,
 
     The x_i solve the orthogonality system, must all be positive (every curve
     genuinely occurs), and then (pullback)^2 = E^2 + sum(x_i * E.theta_i).
+    Each pattern keeps its first feasible pairing vector as the witness.
     """
     target = Fraction(target_sq)
     if target > 0 and target.denominator == 1:
@@ -373,20 +434,13 @@ def preimage_configuration_search(chain_bound: int, target_sq: Fraction | int,
     found: dict[tuple[tuple[str, ...], tuple[tuple[int, int], ...]], FeasibleConfiguration] = {}
     for n in range(0, chain_bound + 1):
         for key, adj, det in _distinct_patterns(n):
-            for ks in itertools.product(range(0, pairing_bound + 1), repeat=n):
-                # -G x = ks, so x = adj * ks / det with det > 0.
-                ys = mat_vec(adj, ks)
-                if any(y <= 0 for y in ys):
-                    continue
-                e_sq = target - Fraction(sum(y * k for y, k in zip(ys, ks)), det)
-                if e_sq.denominator != 1 or int(e_sq) % 2 != 0:
-                    continue
+            for ks, ys, e_sq in _feasible_pairings(adj, det, target, pairing_bound):
                 found[key] = FeasibleConfiguration(
                     components=key[0],
                     edges=key[1],
                     curve_count=n,
-                    witness_pairings=tuple(ks),
-                    witness_e_sq=int(e_sq),
+                    witness_pairings=ks,
+                    witness_e_sq=e_sq,
                     witness_coefficients=tuple(Fraction(y, det) for y in ys),
                 )
                 break

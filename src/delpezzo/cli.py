@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 malformed
-input file.  Class literals use the compact notation ``3l-e1-e2-2e3-e4`` with
+input file, 141 standard output closed by its reader before all output was
+written (the status of a process that SIGPIPE ended; no traceback is
+printed).  Class literals use the compact notation ``3l-e1-e2-2e3-e4`` with
 an explicit ``--basis`` flag; every subcommand accepts ``--format
 json|csv|text`` and ``--config GENERAL|P1..P6``.
 
@@ -12,6 +14,7 @@ such as ``h0`` does not pay for loading the table, cover and symmetry code.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .lattice import (
@@ -28,6 +31,8 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
+#: 128 + SIGPIPE, the status a shell reports for a process that SIGPIPE ended.
+EXIT_BROKEN_PIPE = 141
 
 #: The `--case` choices: `casework.TABLE_CASES`, spelled out so that parsing
 #: the arguments does not import the table code.
@@ -419,7 +424,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head`).  Python's SIGPIPE recipe:
+        # point stdout at devnull, so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ nef and big, so by the Hodge index theorem the only nef class of degree 0 is
 
 from __future__ import annotations
 
+import itertools
+
 from .lattice import (
     MINUS_K,
     ZERO,
@@ -134,14 +136,10 @@ def find_half_anticanonical_pencils(coefficient_bound: int,
     minus_k = anticanonical_class(GENERAL)
     violations = []
     span = range(-coefficient_bound, coefficient_bound + 1)
-    for c0 in span:
-        for c1 in span:
-            for c2 in span:
-                for c3 in span:
-                    for c4 in span:
-                        d = DivisorClass((c0, c1, c2, c3, c4))
-                        if h0(d, GENERAL) <= 1:
-                            continue
-                        if not require_effective_complement or is_effective(minus_k - 2 * d, GENERAL):
-                            violations.append(d)
+    for coeffs in itertools.product(span, repeat=5):
+        d = DivisorClass._unchecked(coeffs)
+        if h0(d, GENERAL) <= 1:
+            continue
+        if not require_effective_complement or is_effective(minus_k - 2 * d, GENERAL):
+            violations.append(d)
     return violations

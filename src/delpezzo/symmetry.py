@@ -4,17 +4,22 @@ The isometries of the Picard lattice that fix K form the Weyl group W(A4),
 isomorphic to S5 (Dolgachev, *Classical Algebraic Geometry*, ch. 8).  The
 ten (-1)-classes correspond to the 2-subsets of {1..5}, two lines meeting
 exactly when their pairs are disjoint (the Petersen graph), and
-`generate_group` builds the 120 elements from the permutations of {1..5}.
-The named automorphisms (coordinate permutations of the four exceptional
-classes, and the quadratic involutions L -> 2L - Ei - Ej - Ek) transport
-cover data; the orbit computations below back the transitivity statements
-used to normalize it.
+`generate_group` builds the 120 elements from the permutations of {1..5}:
+the columns of each matrix are sums of the pair lines' coefficient tuples.
+`line_action` reads each element as a permutation of the lines off the same
+integer columns (Ei goes to column i, L - Ei - Ej to column 0 minus columns
+i and j), and the orbit checks work on those index tuples.  The named
+automorphisms (coordinate permutations of the four exceptional classes, and
+the quadratic involutions L -> 2L - Ei - Ej - Ek) transport cover data; the
+orbit computations below back the transitivity statements used to
+normalize it.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import sub
 from typing import TYPE_CHECKING
 
 from .curves import ALL_MINUS_ONE_CLASSES
@@ -51,12 +56,13 @@ class LatticeAutomorphism(_FrozenRecord):
     __slots__ = ("matrix", "name")
 
     def __init__(self, matrix: Matrix, name: str = ""):
-        if len(matrix) != 5 or any(len(row) != 5 or any(type(x) is not int for x in row) for row in matrix):
+        if (len(matrix) != 5 or any(len(row) != 5 for row in matrix)
+                or {type(x) for row in matrix for x in row} != {int}):
             raise ValueError(f"need a 5x5 integer matrix, got {matrix}")
         self._init(matrix, name)
         if not self.preserves_gram():
             raise ValueError(f"matrix does not preserve the intersection form: {matrix}")
-        if self.apply(K) != K:
+        if mat_vec(matrix, K.coeffs) != K.coeffs:
             raise ValueError("automorphism must fix the canonical class")
 
     def apply(self, d: DivisorClass) -> DivisorClass:
@@ -73,10 +79,13 @@ class LatticeAutomorphism(_FrozenRecord):
     def preserves_gram(self) -> bool:
         """M^T G M = G: the images of the basis classes (the columns of M)
         pair with each other as the basis classes do."""
-        cols = [DivisorClass._unchecked(c) for c in zip(*self.matrix)]
-        return all(
-            intersect(cols[i], cols[j]) == _GRAM[i][j] for i in range(5) for j in range(i, 5)
-        )
+        cols = tuple(zip(*self.matrix))
+        for i, (a0, a1, a2, a3, a4) in enumerate(cols):
+            for j in range(i, 5):
+                b0, b1, b2, b3, b4 = cols[j]
+                if a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3 - a4 * b4 != _GRAM[i][j]:
+                    return False
+        return True
 
 
 IDENTITY = LatticeAutomorphism(_columns_to_matrix([L, *E]), name="id")
@@ -125,33 +134,62 @@ PAIR_LINES: dict[frozenset[int], DivisorClass] = {
 }
 
 
+#: The coefficient tuples of PAIR_LINES, keyed by the pair in either order.
+_PAIR_COEFFS: dict[tuple[int, int], tuple[int, ...]] = {
+    (a, b): line.coeffs for pair, line in PAIR_LINES.items() for a, b in itertools.permutations(pair)
+}
+
+
 @lru_cache(maxsize=1)
 def generate_group() -> tuple[LatticeAutomorphism, ...]:
     """The 120 elements of W(A4) = S5, one per permutation of {1..5}.
 
     A permutation s sends the line of the pair {a,b} to the line of
     {s(a),s(b)}.  The images of E1..E4 and of L = E1 + E2 + (L - E1 - E2)
-    give the matrix; the constructor checks that it preserves the form and K.
+    are the columns of the matrix, read off the coefficient tuples of the
+    pair lines; the constructor checks that it preserves the form and K.
     """
     group = []
     for s in itertools.permutations(range(1, 6)):
         if s == (1, 2, 3, 4, 5):
             group.append(IDENTITY)
             continue
-        # s = (s(1), ..., s(5)): Ei = {i,5} goes to {s(i),s(5)}, L - E1 - E2 = {3,4} to {s(3),s(4)}.
-        e = [PAIR_LINES[frozenset((s[i - 1], s[4]))] for i in (1, 2, 3, 4)]
-        images = [e[0] + e[1] + PAIR_LINES[frozenset((s[2], s[3]))], *e]
-        group.append(LatticeAutomorphism(_columns_to_matrix(images)))
+        # Ei = {i,5} goes to {s(i),s(5)}, L - E1 - E2 = {3,4} to {s(3),s(4)}.
+        s1, s2, s3, s4, s5 = s
+        e1, e2, e3, e4 = (_PAIR_COEFFS[t, s5] for t in (s1, s2, s3, s4))
+        ell = [a + b + c for a, b, c in zip(e1, e2, _PAIR_COEFFS[s3, s4])]
+        group.append(LatticeAutomorphism(tuple(zip(ell, e1, e2, e3, e4))))
     return tuple(group)
+
+
+#: Each line as a combination of matrix columns: (the column it adds, the
+#: columns it subtracts).  Ei is column i; L - Ei - Ej is column 0 minus
+#: columns i and j.
+_LINE_COLUMNS = tuple(
+    (line.coeffs.index(1), tuple(k for k, c in enumerate(line.coeffs) if c == -1))
+    for line in ALL_MINUS_ONE_CLASSES
+)
 
 
 @lru_cache(maxsize=1)
 def line_action(group: tuple[LatticeAutomorphism, ...]) -> tuple[tuple[int, ...], ...]:
     """Each element as a permutation of the ten lines: entry i is the index in
-    ALL_MINUS_ONE_CLASSES of the image of line i.  An image that is not a line
+    ALL_MINUS_ONE_CLASSES of the image of line i.  A matrix sends a line to
+    the same combination of its columns as the line is of the basis, so each
+    image is read off the integer columns.  An image that is not a line
     raises KeyError."""
-    index = {c: i for i, c in enumerate(ALL_MINUS_ONE_CLASSES)}
-    return tuple(tuple(index[g.apply(c)] for c in ALL_MINUS_ONE_CLASSES) for g in group)
+    index = {line.coeffs: i for i, line in enumerate(ALL_MINUS_ONE_CLASSES)}
+    action = []
+    for g in group:
+        cols = tuple(zip(*g.matrix))
+        images = []
+        for plus, minus in _LINE_COLUMNS:
+            image = cols[plus]
+            for k in minus:
+                image = tuple(map(sub, image, cols[k]))
+            images.append(index[image])
+        action.append(tuple(images))
+    return tuple(action)
 
 
 def line_orbits(group: tuple[LatticeAutomorphism, ...] | None = None) -> list[set[DivisorClass]]:

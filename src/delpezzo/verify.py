@@ -8,6 +8,7 @@ self-contained end-to-end gate.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from importlib import resources
 from typing import Callable
@@ -173,8 +174,10 @@ def _check_effectivity():
 def _check_half_anticanonical_scan():
     candidates = half_anticanonical_candidates()
     complete = find_all_half_anticanonical_pencils()
-    strict = find_half_anticanonical_pencils(1)
+    # One scan of the bound-1 box: the strict scan keeps the relaxed classes
+    # whose doubled complement is effective.
     relaxed = find_half_anticanonical_pencils(1, require_effective_complement=False)
+    strict = [d for d in relaxed if is_effective(MINUS_K - 2 * d, GENERAL)]
     ok = len(candidates) == 56 and complete == [] and strict == [] and L in relaxed
     return ok, (
         f"violations among the {len(candidates)} effective classes of degree <= 2: {len(complete)}; "
@@ -450,17 +453,14 @@ def _anticanonical_component_candidates() -> list[DivisorClass]:
     lines = set(curves.ALL_MINUS_ONE_CLASSES)
     found = []
     for a in range(1, 3):
-        for b1 in range(-1, a + 1):
-            for b2 in range(-1, a + 1):
-                for b3 in range(-1, a + 1):
-                    for b4 in range(-1, a + 1):
-                        d = DivisorClass((a, -b1, -b2, -b3, -b4))
-                        if d in lines:
-                            continue
-                        if any(intersect(d, w) < 0 for w in walls):
-                            continue
-                        if h0(d, GENERAL) >= 1:
-                            found.append(d)
+        for bs in itertools.product(range(-1, a + 1), repeat=4):
+            d = DivisorClass._unchecked((a, *(-b for b in bs)))
+            if d in lines:
+                continue
+            if any(intersect(d, w) < 0 for w in walls):
+                continue
+            if h0(d, GENERAL) >= 1:
+                found.append(d)
     return found
 
 

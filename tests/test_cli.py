@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from delpezzo.cli import run
+import delpezzo
+from delpezzo.cli import EXIT_BROKEN_PIPE, run
 from delpezzo.lattice import class_from_json
 
 
@@ -192,6 +195,41 @@ def test_verify_subprocess_exits_zero():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "verification PASSED" in result.stdout
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("verify", "--verbose"), "verify_verbose.txt"),
+    (("verify", "--format", "json"), "verify.json"),
+])
+def test_verify_output_is_pinned(capsys, argv, golden):
+    """The whole `verify --verbose` and `verify --format json` output, detail
+    strings included, byte for byte: a change that claims unchanged answers
+    must leave these files as they are."""
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    """`delpezzo tables --case p4 --format json | head -3`: the reader closes
+    the pipe before the rows are written.  No traceback, exit 141."""
+    env = dict(os.environ)
+    src = str(Path(delpezzo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "delpezzo.cli", "tables", "--case", "p4", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in result.stderr, result.stderr
+    assert result.returncode == EXIT_BROKEN_PIPE == 141
 
 
 @pytest.mark.parametrize("content, message", [

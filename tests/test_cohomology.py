@@ -277,6 +277,17 @@ def test_relaxed_scan_is_nonempty():
     assert L in found
 
 
+@pytest.mark.parametrize("bound", [1, 2])
+def test_strict_scan_is_the_relaxed_scan_filtered(bound):
+    """`verify` scans the box once and derives the strict list from the
+    relaxed one: the classes whose doubled complement is effective, in scan
+    order.  The strict scan is the oracle."""
+    relaxed = find_half_anticanonical_pencils(bound, require_effective_complement=False)
+    derived = [d for d in relaxed if is_effective(MINUS_K - 2 * d, GENERAL)]
+    assert find_half_anticanonical_pencils(bound) == derived
+    assert len(relaxed) > 0
+
+
 def test_scan_rejects_bad_bound():
     with pytest.raises(ValueError):
         find_half_anticanonical_pencils(0)

@@ -13,7 +13,13 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delpezzo.casework import _canonical_edges, preimage_configuration_search
+from delpezzo.casework import (
+    _canonical_edges,
+    _definite_patterns,
+    _distinct_patterns,
+    _feasible_pairings,
+    preimage_configuration_search,
+)
 from delpezzo.cohomology import is_effective
 from delpezzo.contraction import SigmaClass, mumford_pullback
 from delpezzo.curves import component_labels, minus_two_curves
@@ -253,3 +259,59 @@ def test_preimage_grid_matches_the_oracle(chain_bound, pairing_bound, target):
     assert witnesses(chain_bound, target, pairing_bound) == oracle_preimage_search(
         chain_bound, target, pairing_bound
     )
+
+
+# -- the pattern construction and the integer feasibility test -----------------
+
+def bareiss_incidence_patterns(n):
+    """The replaced pattern generator: one Bareiss elimination per labelled
+    graph, in the order of its edge bits, kept when every leading minor of -G
+    is positive."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        edges = tuple(p for p, b in zip(pairs, bits) if b)
+        neg = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i, j in edges:
+            neg[i][j] = neg[j][i] = -1
+        minors, adj = bareiss(neg)
+        if all(m > 0 for m in minors):
+            yield edges, adj, minors[-1]
+
+
+def relabelling_distinct_patterns(n):
+    """The replaced `_distinct_patterns`: (labels, canonical edges) computed
+    for every definite labelled graph, the first graph of each key kept."""
+    out = {}
+    for edges, adj, det in bareiss_incidence_patterns(n):
+        key = (component_labels(n, edges), _canonical_edges(n, edges))
+        out.setdefault(key, (key, adj, det))
+    return tuple(out.values())
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_bordered_patterns_equal_one_bareiss_per_graph(n):
+    expected = {edges: (adj, det) for edges, adj, det in bareiss_incidence_patterns(n)}
+    assert list(_definite_patterns(n).items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_labels_first_patterns_equal_the_relabelling_construction(n):
+    assert _distinct_patterns(n) == relabelling_distinct_patterns(n)
+
+
+@pytest.mark.parametrize("target", GRID_TARGETS, ids=str)
+@pytest.mark.parametrize("pairing_bound", range(3))
+@pytest.mark.parametrize("n", range(5))
+def test_integer_feasibility_test_matches_the_fraction_form(n, pairing_bound, target):
+    """Every feasible pairing vector, not only the first: the integer remainder
+    test against E^2 = target - ys.ks / det as a Fraction."""
+    for _, adj, det in _distinct_patterns(n):
+        expected = []
+        for ks in itertools.product(range(pairing_bound + 1), repeat=n):
+            ys = mat_vec(adj, ks)
+            if any(y <= 0 for y in ys):
+                continue
+            e_sq = target - Fraction(sum(y * k for y, k in zip(ys, ks)), det)
+            if e_sq.denominator == 1 and e_sq % 2 == 0:
+                expected.append((ks, ys, e_sq))
+        assert list(_feasible_pairings(adj, det, target, pairing_bound)) == expected

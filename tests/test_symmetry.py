@@ -102,8 +102,11 @@ def test_line_action_agrees_with_the_closure_group():
 
 def test_line_action_rejects_a_non_line_image():
     # Every isometry fixing K maps lines to lines, so only a stand-in for an
-    # element can produce a non-line image.
+    # element can produce a non-line image.  `line_action` reads the images
+    # off the matrix columns, so the stand-in carries the matrix 2I.
     class Doubling:
+        matrix = tuple(tuple(2 * (i == j) for j in range(5)) for i in range(5))
+
         def apply(self, d):
             return 2 * d
 
