@@ -12,8 +12,9 @@ report, never by silent equality.
 
 Every search tests in integers: the tables bucket rows by the doubled
 quadratic identity, and the preimage search decides E^2 by one remainder
-per pairing vector.  Its (-2)-graphs are built once per node count, each by
-bordering a definite graph with one fewer node.
+per pairing vector.  Its (-2)-graphs come from the ADE classification: one
+per multiset of Dynkin types, numbered in a fixed way, with one Bareiss
+elimination each.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from functools import lru_cache
 from operator import ge, gt, le, lt, mul
 
 from .cohomology import h0
-from .curves import component_labels
 from .exact import Matrix, bareiss, mat_vec
 from .lattice import DivisorClass, SurfaceConfiguration, _FrozenRecord, _Record, intersect
 
@@ -330,7 +330,10 @@ class FeasibleConfiguration(_FrozenRecord):
     requested self-intersection, with one witness per pattern.
 
     `components` are the ADE labels, e.g. ("A2",) or ("A1", "A1"), and
-    `witness_pairings` the pairings E.theta_i of the witness.
+    `edges` the pattern in the standard numbering of `_ade_patterns`, e.g.
+    ((0, 1), (1, 2)) for A3.  The witness is indexed like `edges`:
+    `witness_pairings` are the pairings E.theta_i and `witness_coefficients`
+    the x_i with -G x = witness_pairings, G the Gram matrix of `edges`.
     """
 
     __slots__ = ("components", "edges", "curve_count", "witness_pairings", "witness_e_sq",
@@ -343,61 +346,40 @@ class FeasibleConfiguration(_FrozenRecord):
 
 
 @lru_cache(maxsize=None)
-def _definite_patterns(n: int) -> dict[tuple[tuple[int, int], ...], tuple[Matrix, int]]:
-    """Graphs on n nodes with 0/1 pairings whose (-2)-Gram G is negative
-    definite, i.e. every leading minor of -G is positive, in the order of
-    their edge bits over the node pairs; each maps to the adjugate and
-    determinant of -G.
+def _ade_patterns(n: int) -> tuple[tuple[tuple[str, ...], tuple[tuple[int, int], ...], Matrix, int], ...]:
+    """The negative definite (-2)-graphs on n nodes up to relabelling, as
+    (labels, edges, adjugate of -G, det of -G), sorted by labels.
 
-    Each graph extends its restriction to nodes 0..n-2 by one node, and the
-    first n-1 leading minors are those of the restriction, so only extensions
-    of a definite (n-1)-node graph can qualify.  Bordering -G' (adjugate A,
-    determinant d) with the new node, whose pairing column is -1 at its
-    neighbours N, gives with u = A * 1_N the determinant D = 2d - sum(u[N])
-    and the adjugate [[(D A + u u^T) / d, u], [u^T, d]], divisions exact.
+    A graph with 0/1 pairings has a negative definite Gram matrix G exactly
+    when it is a disjoint union of the Dynkin diagrams A_k, D_k (k >= 4), E6,
+    E7 and E8 (Bourbaki, Lie Groups and Lie Algebras, VI 4), so the patterns
+    are the multisets of these types of total rank n.  A_k is the path
+    0..k-1; D_k and E_k are the path on k-1 nodes with node k-1 joined to
+    node k-3 or node 2.  Components are numbered one after another, in label
+    order.
     """
-    if n == 0:
-        return {(): ((), 1)}
-    smaller = _definite_patterns(n - 1)
-    last = n - 1
-    pairs = list(itertools.combinations(range(n), 2))
-    out = {}
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        edges = tuple(p for p, b in zip(pairs, bits) if b)
-        restriction = smaller.get(tuple(p for p in edges if p[1] != last))
-        if restriction is None:
-            continue
-        adj, d = restriction
-        neighbours = [i for i, j in edges if j == last]
-        u = [sum(row[k] for k in neighbours) for row in adj]
-        det = 2 * d - sum(u[k] for k in neighbours)
-        if det > 0:
-            rows = [(*((det * a + ui * uj) // d for a, uj in zip(row, u)), ui) for row, ui in zip(adj, u)]
-            out[edges] = ((*rows, (*u, d)), det)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _distinct_patterns(n: int):
-    """The negative definite patterns on n nodes up to relabelling: for each
-    (component labels, canonical edges) key, the first graph of
-    `_definite_patterns` with that key, as (key, adjugate, determinant).
-    The pairing box is symmetric under relabelling the nodes, so a relabelled
-    graph is feasible exactly when its first labelling is.
-
-    A negative definite pattern is a disjoint union of ADE diagrams.  Its
-    labels fix it up to isomorphism, so the canonical edges are computed once
-    per label, unless a component is branched with six or more nodes:
-    `component_labels` names both D_k and E_k "D<k>" there."""
-    out = {}
-    for edges, (adj, det) in _definite_patterns(n).items():
-        labels = component_labels(n, edges)
-        ambiguous = any(label[0] == "D" and int(label[1:]) >= 6 for label in labels)
-        if not ambiguous and labels in out:
-            continue
-        key = (labels, _canonical_edges(n, edges))
-        out.setdefault(key if ambiguous else labels, (key, adj, det))
-    return tuple(out.values())
+    types = sorted((f"{kind}{k}", k) for kind, low, high in (("A", 1, n), ("D", 4, n), ("E", 6, min(n, 8)))
+                   for k in range(low, high + 1))
+    out = []
+    for r in range(n + 1):
+        # r components of total rank n: none has rank above n - r + 1.
+        for combo in itertools.combinations_with_replacement([t for t in types if t[1] <= n - r + 1], r):
+            if sum(k for _, k in combo) != n:
+                continue
+            edges, offset = [], 0
+            for label, k in combo:
+                if label[0] == "A":
+                    component = [(i, i + 1) for i in range(k - 1)]
+                else:
+                    component = [(i, i + 1) for i in range(k - 2)] + [(k - 3 if label[0] == "D" else 2, k - 1)]
+                edges += [(offset + i, offset + j) for i, j in component]
+                offset += k
+            neg = [[2 * (i == j) for j in range(n)] for i in range(n)]
+            for i, j in edges:
+                neg[i][j] = neg[j][i] = -1
+            minors, adj = bareiss(neg)
+            out.append((tuple(label for label, _ in combo), tuple(sorted(edges)), adj, minors[-1]))
+    return tuple(sorted(out, key=lambda pattern: pattern[0]))
 
 
 def _feasible_pairings(adj: Matrix, det: int, target: Fraction, pairing_bound: int):
@@ -426,35 +408,29 @@ def preimage_configuration_search(chain_bound: int, target_sq: Fraction | int,
 
     The x_i solve the orthogonality system, must all be positive (every curve
     genuinely occurs), and then (pullback)^2 = E^2 + sum(x_i * E.theta_i).
-    Each pattern keeps its first feasible pairing vector as the witness.
+    The pairing box is symmetric under relabelling the curves, so one
+    numbering per isomorphism class decides it.  Each pattern keeps its first
+    feasible pairing vector as the witness; results come in (curve count,
+    labels) order.
     """
     target = Fraction(target_sq)
     if target > 0 and target.denominator == 1:
         raise ValueError("the search is for non-positive or fractional targets")
-    found: dict[tuple[tuple[str, ...], tuple[tuple[int, int], ...]], FeasibleConfiguration] = {}
-    for n in range(0, chain_bound + 1):
-        for key, adj, det in _distinct_patterns(n):
+    found = []
+    for n in range(chain_bound + 1):
+        for labels, edges, adj, det in _ade_patterns(n):
             for ks, ys, e_sq in _feasible_pairings(adj, det, target, pairing_bound):
-                found[key] = FeasibleConfiguration(
-                    components=key[0],
-                    edges=key[1],
+                found.append(FeasibleConfiguration(
+                    components=labels,
+                    edges=edges,
                     curve_count=n,
                     witness_pairings=ks,
                     witness_e_sq=e_sq,
                     witness_coefficients=tuple(Fraction(y, det) for y in ys),
-                )
+                ))
                 break
-    return sorted(found.values(), key=lambda f: (f.curve_count, f.components, f.edges))
+    return found
 
-
-def _canonical_edges(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """Edge set up to node relabeling (smallest lexicographic image)."""
-    best = None
-    for perm in itertools.permutations(range(n)):
-        image = tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in edges))
-        if best is None or image < best:
-            best = image
-    return best if best is not None else ()
 
 
 # ---------------------------------------------------------------------------

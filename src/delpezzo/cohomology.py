@@ -23,6 +23,7 @@ from .lattice import (
     _Record,
     anticanonical_class,
     intersect,
+    riemann_roch_chi,
 )
 from .curves import ALL_MINUS_ONE_CLASSES, negative_curve_classes
 
@@ -68,8 +69,6 @@ def _reduce_to_nef(d: DivisorClass, cfg: SurfaceConfiguration, trace: ReductionT
 
 
 def h0_with_trace(d: DivisorClass, cfg: SurfaceConfiguration) -> ReductionTrace:
-    from .lattice import riemann_roch_chi
-
     trace = ReductionTrace(start=d)
     nef = _reduce_to_nef(d, cfg, trace)
     if nef is None:

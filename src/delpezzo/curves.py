@@ -95,8 +95,10 @@ def minus_two_gram_adjugate(cfg: SurfaceConfiguration) -> tuple[Matrix, int]:
 
 
 def component_labels(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[str, ...]:
-    """ADE labels of the connected components of a (-2)-graph on nodes 0..n-1:
-    a chain of k curves is A_k, a component with a branch node D_k."""
+    """ADE labels of the connected components of a negative definite
+    (-2)-graph on nodes 0..n-1: a chain of k curves is A_k; a branched
+    component of k curves is D_k when the arms from its branch node have
+    lengths (1, 1, k-3), and E_k when they have lengths (1, 2, k-4)."""
     adjacency: list[set[int]] = [set() for _ in range(n)]
     for i, j in edges:
         adjacency[i].add(j)
@@ -111,7 +113,17 @@ def component_labels(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[str, .
                 unseen.remove(other)
                 component.add(other)
                 stack.append(other)
-        kind = "A" if all(len(adjacency[i]) <= 2 for i in component) else "D"
+        branch = next((i for i in component if len(adjacency[i]) > 2), None)
+        kind = "A"
+        if branch is not None:
+            arms = []
+            for node in adjacency[branch]:
+                previous, length = branch, 1
+                while len(adjacency[node]) == 2:
+                    previous, node = node, min(adjacency[node] - {previous})
+                    length += 1
+                arms.append(length)
+            kind = "D" if sorted(arms)[1] == 1 else "E"
         labels.append(f"{kind}{len(component)}")
     return tuple(sorted(labels))
 
@@ -171,21 +183,17 @@ def ruling_candidates() -> tuple[DivisorClass, ...]:
 def ruling_classes(cfg: SurfaceConfiguration, require_minus_two_orthogonal: bool = False) -> tuple[DivisorClass, ...]:
     """Classes of base-point-free pencils of rational curves.
 
-    Keeps every f with f^2 = 0, -K.f = 2 that moves in a pencil with no fixed
-    part: h^0 >= 2 with an empty fixed-part reduction, the latter equivalent
-    to f.C >= 0 against every irreducible negative curve.  With the flag set,
+    Keeps every f with f^2 = 0, -K.f = 2 that pairs >= 0 with every
+    irreducible negative curve.  These curves generate the Mori cone, so such
+    an f is nef and its fixed-part reduction is empty; then h^0 = chi = 2,
+    and f moves in a pencil with no fixed part.  With the flag set,
     additionally f.T = 0 for every (-2)-curve T, i.e. every (-2)-curve lies
     in a fiber.
     """
-    from .cohomology import h0_with_trace  # deferred: cohomology builds on this module
-
+    walls = negative_curve_classes(cfg)
     thetas = [t.cls for t in minus_two_curves(cfg)]
-    kept = []
-    for f in ruling_candidates():
-        trace = h0_with_trace(f, cfg)
-        if trace.steps or trace.value < 2:
-            continue
-        if require_minus_two_orthogonal and any(intersect(f, t) != 0 for t in thetas):
-            continue
-        kept.append(f)
-    return tuple(kept)
+    return tuple(
+        f for f in ruling_candidates()
+        if all(intersect(f, c) >= 0 for c in walls)
+        and not (require_minus_two_orthogonal and any(intersect(f, t) != 0 for t in thetas))
+    )

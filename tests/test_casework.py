@@ -217,18 +217,26 @@ def test_preimage_two_chain_for_third_denominators():
     assert components(results) == [("A2",)]
 
 
+def test_preimage_six_curves_tell_d6_from_e6():
+    six = [("A6",), ("D6",), ("E6",)]
+    assert [c for c in components(preimage_configuration_search(6, -2, 1)) if c in six] == six
+
+
 def test_preimage_trivial_target():
     results = preimage_configuration_search(0, 0, 1)
     assert components(results) == [()]
 
 
 def test_preimage_witnesses_are_orthogonal_solutions():
-    for f in preimage_configuration_search(3, -1, 1):
-        total = Fraction(f.witness_e_sq)
-        for x, k in zip(f.witness_coefficients, f.witness_pairings):
-            total += x * k
-        assert total == -1
-        assert all(x > 0 for x in f.witness_coefficients)
+    """Each witness solves -G x = ks on the edges it is reported with."""
+    for chain_bound, target, pairing_bound in [(3, -1, 1), (4, -2, 1), (4, Fraction(16, 5), 2)]:
+        for f in preimage_configuration_search(chain_bound, target, pairing_bound):
+            xs, ks = f.witness_coefficients, f.witness_pairings
+            assert f.witness_e_sq + sum(x * k for x, k in zip(xs, ks)) == target
+            assert all(x > 0 for x in xs)
+            for i in range(f.curve_count):
+                neighbours = [b for a, b in f.edges if a == i] + [a for a, b in f.edges if b == i]
+                assert 2 * xs[i] - sum(xs[j] for j in neighbours) == ks[i], (f, i)
 
 
 def test_preimage_rejects_positive_integer_target():

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from delpezzo.casework import _ade_patterns
+from delpezzo.cohomology import h0_with_trace
 from delpezzo.curves import (
     ALL_MINUS_ONE_CLASSES,
     CurveKind,
@@ -171,6 +173,27 @@ def test_ruling_candidates_equal_the_box_scan():
         assert intersect(f, f) == 0 and intersect(f, -K) == 2
 
 
+def h0_ruling_classes(cfg, require_minus_two_orthogonal):
+    """The former rule: h0 >= 2 with an empty fixed-part reduction."""
+    thetas = [t.cls for t in minus_two_curves(cfg)]
+    kept = []
+    for f in ruling_candidates():
+        trace = h0_with_trace(f, cfg)
+        if trace.steps or trace.value < 2:
+            continue
+        if require_minus_two_orthogonal and any(intersect(f, t) != 0 for t in thetas):
+            continue
+        kept.append(f)
+    return tuple(kept)
+
+
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize("name", sorted(CONFIGURATIONS))
+def test_ruling_classes_match_the_h0_rule(name, flag):
+    cfg = CONFIGURATIONS[name]
+    assert ruling_classes(cfg, flag) == h0_ruling_classes(cfg, flag)
+
+
 def test_ruling_classes_general():
     assert len(ruling_classes(GENERAL, False)) == 5
     assert ruling_classes(GENERAL, True) == ruling_classes(GENERAL, False)
@@ -218,6 +241,19 @@ def test_negative_curve_kind_validation():
     (5, ((0, 1), (3, 4)), ("A1", "A2", "A2")),
     (4, ((0, 1), (0, 2), (0, 3)), ("D4",)),
     (6, ((0, 1), (1, 2), (1, 3), (3, 4)), ("A1", "D5")),
+    (6, ((0, 1), (1, 2), (2, 3), (3, 4), (3, 5)), ("D6",)),
+    (6, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)), ("E6",)),
+    (6, ((0, 4), (0, 2), (2, 3), (0, 1), (4, 5)), ("E6",)),
+    (7, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)), ("E7",)),
+    (10, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7), (8, 9)), ("A2", "E8")),
 ])
 def test_component_labels(n, edges, expected):
     assert component_labels(n, edges) == expected
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_component_labels_name_every_ade_pattern(n):
+    patterns = _ade_patterns(n)
+    assert patterns
+    for labels, edges, _, _ in patterns:
+        assert component_labels(n, edges) == labels

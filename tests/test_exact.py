@@ -3,9 +3,13 @@
 `gauss_jordan_solve` and `fraction_det` are the package's former
 `_solve_exact` and `casework._det`, and `genexpr_mat_vec`/`genexpr_mat_mul`
 the former generator-expression products, kept here as independent oracles.
+The preimage search is checked against the sweep it replaced: every labelled
+graph (`bareiss_incidence_patterns`), isomorphism by the n! relabelling
+search (`canonical_edges`) and one Fraction solve per pairing vector.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -13,13 +17,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delpezzo.casework import (
-    _canonical_edges,
-    _definite_patterns,
-    _distinct_patterns,
-    _feasible_pairings,
-    preimage_configuration_search,
-)
+from delpezzo.casework import _ade_patterns, _feasible_pairings, preimage_configuration_search
 from delpezzo.cohomology import is_effective
 from delpezzo.contraction import SigmaClass, mumford_pullback
 from delpezzo.curves import component_labels, minus_two_curves
@@ -190,58 +188,121 @@ def test_pullback_and_combination_test_match_the_oracle(name):
     assert hits > 0
 
 
+# -- the preimage search against the brute-force labelled-graph sweep ----------
+
+def canonical_edges(n, edges):
+    """Edge set up to node relabelling (smallest lexicographic image): the
+    oracle's isomorphism test, formerly `casework._canonical_edges`."""
+    best = None
+    for perm in itertools.permutations(range(n)):
+        image = tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in edges))
+        if best is None or image < best:
+            best = image
+    return best if best is not None else ()
+
+
+def negative_gram(n, edges):
+    """-G for the (-2)-graph on nodes 0..n-1 with the given edges."""
+    neg = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        neg[i][j] = neg[j][i] = -1
+    return neg
+
+
+@lru_cache(maxsize=None)
+def bareiss_incidence_patterns(n):
+    """The replaced pattern generator: one Bareiss elimination per labelled
+    graph, in the order of its edge bits, kept when every leading minor of -G
+    is positive, as (edges, adjugate, determinant)."""
+    out = []
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        edges = tuple(p for p, b in zip(pairs, bits) if b)
+        minors, adj = bareiss(negative_gram(n, edges))
+        if all(m > 0 for m in minors):
+            out.append((edges, adj, minors[-1]))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def fraction_solutions(n, edges, pairing_bound):
+    """Every pairing vector in box order whose Fraction solve of -G x = ks is
+    all-positive, as (ks, x, x.ks).  x is combined from the Fraction solves
+    for the unit vectors, the columns of the inverse of -G, scaled to integers
+    over their common denominator."""
+    neg = negative_gram(n, edges)
+    columns = [gauss_jordan_solve(neg, [int(i == j) for i in range(n)]) for j in range(n)]
+    den = math.lcm(*(x.denominator for column in columns for x in column))
+    scaled = [[int(x * den) for x in column] for column in columns]
+    solutions = []
+    for ks in itertools.product(range(pairing_bound + 1), repeat=n):
+        ys = [sum(k * column[i] for k, column in zip(ks, scaled)) for i in range(n)]
+        if all(y > 0 for y in ys):
+            solutions.append((ks, tuple(Fraction(y, den) for y in ys),
+                              Fraction(sum(y * k for y, k in zip(ys, ks)), den)))
+    return tuple(solutions)
+
+
 @lru_cache(maxsize=None)
 def oracle_solutions(n, pairing_bound):
-    """The target-independent part of `oracle_preimage_search` on n nodes: for
-    each graph whose Fraction definiteness test passes, in enumeration order,
-    its key and every (pairing vector, solution, E-pairing of the solution)
-    with an all-positive solution.  Cached per (n, pairing_bound), apart from
-    the package's own pattern cache."""
+    """The target-independent part of the oracle on n nodes: for each labelled
+    graph whose Fraction definiteness test passes, its isomorphism class and
+    its `fraction_solutions`.  Cached per (n, pairing_bound), apart from the
+    package's own pattern cache."""
     graphs = []
     pairs = list(itertools.combinations(range(n), 2))
     for bits in itertools.product((0, 1), repeat=len(pairs)):
         edges = tuple(p for p, b in zip(pairs, bits) if b)
-        neg = [[2 if i == j else -int((min(i, j), max(i, j)) in edges) for j in range(n)] for i in range(n)]
+        neg = negative_gram(n, edges)
         if any(fraction_det([row[:k] for row in neg[:k]]) <= 0 for k in range(1, n + 1)):
             continue
-        key = (component_labels(n, edges), _canonical_edges(n, edges))
-        solutions = []
-        for ks in itertools.product(range(pairing_bound + 1), repeat=n):
-            xs = gauss_jordan_solve(neg, ks)
-            if any(x <= 0 for x in xs):
-                continue
-            solutions.append((ks, tuple(xs), sum((x * k for x, k in zip(xs, ks)), Fraction(0))))
-        graphs.append((key, tuple(solutions)))
+        graphs.append(((n, canonical_edges(n, edges)), fraction_solutions(n, edges, pairing_bound)))
     return tuple(graphs)
 
 
-def oracle_preimage_search(chain_bound, target, pairing_bound):
-    """The replaced search: Fraction definiteness test and one Fraction solve
-    per pairing vector.  Maps (labels, canonical edges) to the first witness."""
-    found = {}
-    for n in range(chain_bound + 1):
-        for key, solutions in oracle_solutions(n, pairing_bound):
-            for ks, xs, pairing in solutions:
-                e_sq = target - pairing
-                if e_sq.denominator == 1 and e_sq % 2 == 0:
-                    found.setdefault(key, (ks, e_sq, xs))
-    return found
+def first_feasible(solutions, target):
+    """The first (ks, E^2, x) of the solutions with E^2 = target - x.ks an
+    even integer, or None."""
+    for ks, xs, pairing in solutions:
+        e_sq = target - pairing
+        if e_sq.denominator == 1 and e_sq % 2 == 0:
+            return ks, e_sq, xs
+    return None
 
 
-def witnesses(chain_bound, target, pairing_bound):
+def oracle_feasible_classes(chain_bound, target, pairing_bound):
+    """Isomorphism classes (n, canonical edges) of the labelled graphs on at
+    most `chain_bound` nodes with a feasible pairing vector."""
     return {
-        (f.components, f.edges): (f.witness_pairings, f.witness_e_sq, f.witness_coefficients)
-        for f in preimage_configuration_search(chain_bound, target, pairing_bound)
+        key
+        for n in range(chain_bound + 1)
+        for key, solutions in oracle_solutions(n, pairing_bound)
+        if first_feasible(solutions, target) is not None
     }
+
+
+def check_against_the_oracle(chain_bound, target, pairing_bound):
+    """One result per feasible isomorphism class, labelled as its reported
+    edges, whose witness is the first feasible pairing vector in box order
+    on those edges."""
+    results = preimage_configuration_search(chain_bound, target, pairing_bound)
+    classes = [(f.curve_count, canonical_edges(f.curve_count, f.edges)) for f in results]
+    assert len(classes) == len(set(classes))
+    assert set(classes) == oracle_feasible_classes(chain_bound, target, pairing_bound)
+    assert results == sorted(results, key=lambda f: (f.curve_count, f.components))
+    for f in results:
+        n = f.curve_count
+        assert f.components == component_labels(n, f.edges)
+        assert (f.witness_pairings, f.witness_e_sq, f.witness_coefficients) == first_feasible(
+            fraction_solutions(n, f.edges, pairing_bound), target
+        )
 
 
 @pytest.mark.parametrize("chain_bound, target, pairing_bound", [
     (0, 0, 1), (2, Fraction(-4, 3), 2), (3, -1, 1), (2, Fraction(8, 3), 2), (4, Fraction(16, 5), 2),
 ])
 def test_preimage_witnesses_match_the_oracle(chain_bound, target, pairing_bound):
-    assert witnesses(chain_bound, target, pairing_bound) == oracle_preimage_search(
-        chain_bound, Fraction(target), pairing_bound
-    )
+    check_against_the_oracle(chain_bound, Fraction(target), pairing_bound)
 
 
 GRID_TARGETS = (
@@ -254,49 +315,29 @@ GRID_TARGETS = (
 @pytest.mark.parametrize("pairing_bound", range(3))
 @pytest.mark.parametrize("chain_bound", range(5))
 def test_preimage_grid_matches_the_oracle(chain_bound, pairing_bound, target):
-    """Every relabelling of a tried graph is skipped; the witnesses, kept from
-    the first labelling, must still equal the per-labelling oracle's."""
-    assert witnesses(chain_bound, target, pairing_bound) == oracle_preimage_search(
-        chain_bound, target, pairing_bound
-    )
+    """The feasible isomorphism classes equal those of the per-labelling
+    sweep, and each witness fits the edges it is reported with."""
+    check_against_the_oracle(chain_bound, target, pairing_bound)
 
 
 # -- the pattern construction and the integer feasibility test -----------------
 
-def bareiss_incidence_patterns(n):
-    """The replaced pattern generator: one Bareiss elimination per labelled
-    graph, in the order of its edge bits, kept when every leading minor of -G
-    is positive."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        edges = tuple(p for p, b in zip(pairs, bits) if b)
-        neg = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i, j in edges:
-            neg[i][j] = neg[j][i] = -1
-        minors, adj = bareiss(neg)
-        if all(m > 0 for m in minors):
-            yield edges, adj, minors[-1]
-
-
-def relabelling_distinct_patterns(n):
-    """The replaced `_distinct_patterns`: (labels, canonical edges) computed
-    for every definite labelled graph, the first graph of each key kept."""
-    out = {}
-    for edges, adj, det in bareiss_incidence_patterns(n):
-        key = (component_labels(n, edges), _canonical_edges(n, edges))
-        out.setdefault(key, (key, adj, det))
-    return tuple(out.values())
+@pytest.mark.parametrize("n", range(6))
+def test_ade_patterns_equal_one_bareiss_per_graph(n):
+    """Each pattern is a definite labelled graph of the sweep, with that
+    graph's adjugate and determinant."""
+    sweep = {edges: (adj, det) for edges, adj, det in bareiss_incidence_patterns(n)}
+    for _, edges, adj, det in _ade_patterns(n):
+        assert sweep[edges] == (adj, det)
 
 
 @pytest.mark.parametrize("n", range(6))
-def test_bordered_patterns_equal_one_bareiss_per_graph(n):
-    expected = {edges: (adj, det) for edges, adj, det in bareiss_incidence_patterns(n)}
-    assert list(_definite_patterns(n).items()) == list(expected.items())
-
-
-@pytest.mark.parametrize("n", range(5))
 def test_labels_first_patterns_equal_the_relabelling_construction(n):
-    assert _distinct_patterns(n) == relabelling_distinct_patterns(n)
+    """The patterns from the ADE classification are the definite labelled
+    graphs up to isomorphism, each class once."""
+    got = [canonical_edges(n, edges) for _, edges, _, _ in _ade_patterns(n)]
+    assert len(got) == len(set(got))
+    assert set(got) == {canonical_edges(n, edges) for edges, _, _ in bareiss_incidence_patterns(n)}
 
 
 @pytest.mark.parametrize("target", GRID_TARGETS, ids=str)
@@ -305,7 +346,7 @@ def test_labels_first_patterns_equal_the_relabelling_construction(n):
 def test_integer_feasibility_test_matches_the_fraction_form(n, pairing_bound, target):
     """Every feasible pairing vector, not only the first: the integer remainder
     test against E^2 = target - ys.ks / det as a Fraction."""
-    for _, adj, det in _distinct_patterns(n):
+    for _, _, adj, det in _ade_patterns(n):
         expected = []
         for ks in itertools.product(range(pairing_bound + 1), repeat=n):
             ys = mat_vec(adj, ks)

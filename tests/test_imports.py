@@ -2,6 +2,7 @@
 the modules it uses, and every name still resolves to its home module's
 object."""
 
+import ast
 import importlib
 import json
 import os
@@ -156,6 +157,32 @@ def test_decompose_query_loads_no_csv():
     )
     assert "delpezzo.casework" in loaded
     assert "csv" not in loaded
+
+
+def test_ruling_classes_load_no_cohomology():
+    loaded = loaded_by(
+        "from delpezzo.curves import ruling_classes\n"
+        "from delpezzo.lattice import CONFIGURATIONS\n"
+        "for cfg in CONFIGURATIONS.values():\n"
+        "    ruling_classes(cfg, False), ruling_classes(cfg, True)"
+    )
+    assert "delpezzo.curves" in loaded
+    assert "delpezzo.cohomology" not in loaded
+
+
+@pytest.mark.parametrize("path", sorted(Path(delpezzo.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    """Every import in the package is relative or names a standard library
+    module: the package is stdlib-only."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, node.lineno, name)
 
 
 def test_verify_import_loads_no_dataclasses():
