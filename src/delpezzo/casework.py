@@ -176,15 +176,19 @@ CONSTRAINT_SYSTEMS: dict[str, ConstraintSystem] = {
 def enumerate_table(case: str) -> tuple[SolutionRow, ...]:
     """All admissible rows for one case, in lexicographic order.
 
-    Chain coefficient i runs over [1, cap_i] with the caps of
-    `ConstraintSystem.coefficient_caps`: every row lies in the ellipsoid of
-    the positive definite chain form, so the scan is exhaustive by
-    construction (4 for p4, 5 for p5 and p6).
+    `ConstraintSystem.violations` is the one admissibility rule: a candidate
+    row is kept when it violates nothing.  The candidates are exhaustive by
+    construction.  Chain coefficient i runs over [1, cap_i] with the caps of
+    `ConstraintSystem.coefficient_caps`, since every row lies in the
+    ellipsoid of the positive definite chain form (4 for p4, 5 for p5 and
+    p6), and L.E over [0, 8], since L.Z = 8 - 2*L^2 - L.E >= 0.  One pass
+    over the box keeps the chain vectors that pass the tie-break, minimum
+    and chain inequalities, bucketed by their doubled chain-quadratic value;
+    each (L^2, L.E, E^2) cell then reads the bucket of its doubled
+    right-hand side.
     """
     system = CONSTRAINT_SYSTEMS[case]
     ranges = [range(1, cap + 1) for cap in system.coefficient_caps()]
-    # One pass over the capped box, bucketed by the doubled chain-quadratic
-    # value; each (L^2, L.E, E^2) cell then reads off its doubled right-hand side.
     by_quadratic: dict[int, list[tuple[int, ...]]] = {}
     for z in itertools.product(*ranges):
         if not system.tie_break_holds(z):
@@ -199,15 +203,10 @@ def enumerate_table(case: str) -> tuple[SolutionRow, ...]:
         for e_sq in system.E_SQ_RANGE:
             for l_dot_e in range(0, 9):
                 e_dot_z = system.e_dot_z(l_dot_e, e_sq)
-                if e_dot_z <= 0:
-                    continue
-                ldz = system.l_dot_z(l_sq, l_dot_e)
-                if (ldz <= 0) if system.strict_l_dot_z else (ldz < 0):
-                    continue
                 for z in by_quadratic.get(system.doubled_quadratic_rhs(l_sq, l_dot_e, e_sq), ()):
                     row = SolutionRow(z, l_sq, l_dot_e, e_sq, e_dot_z)
-                    assert not system.violations(row), (row, system.violations(row))
-                    rows.append(row)
+                    if not system.violations(row):
+                        rows.append(row)
     # Every row of a case has chain_length coefficients, so the flat tuples
     # sort as the rows' field tuples do.
     return tuple(sorted(rows, key=SolutionRow.as_tuple))
@@ -312,13 +311,6 @@ def diff_tables(case: str, enumerated: tuple[SolutionRow, ...] | None = None) ->
             diff.published_only.append(PublishedOnlyRow(row=p, violated=tuple(system.violations(p))))
     diff.enumerator_only = sorted(set(rows) - explained_enum)
     return diff
-
-
-def rows_to_csv(case: str, rows: tuple[SolutionRow, ...]) -> str:
-    lines = [",".join(CONSTRAINT_SYSTEMS[case].columns)]
-    for row in rows:
-        lines.append(",".join(str(x) for x in row.as_tuple()))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -50,11 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
+    def add_common(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        if config:
-            p.add_argument("--config", default="GENERAL",
-                           help="GENERAL or P1..P6 (default GENERAL)")
+        p.add_argument("--config", default="GENERAL", help="GENERAL or P1..P6 (default GENERAL)")
 
     p = sub.add_parser("curves", help="negative-curve inventory and incidence matrix")
     add_common(p)
@@ -320,7 +318,7 @@ def _cmd_tables(args) -> int:
     rows = casework.enumerate_table(args.case)
     columns = casework.CONSTRAINT_SYSTEMS[args.case].columns
     dict_rows = [dict(zip(columns, r.as_tuple())) for r in rows]
-    _print_rows(dict_rows, "csv" if args.format == "csv" else args.format)
+    _print_rows(dict_rows, args.format)
     if not args.no_diff:
         diff = casework.diff_tables(args.case, rows)
         for line in diff.summary_lines():

@@ -130,7 +130,10 @@ class BidoubleInvariants(_FrozenRecord):
 
 def bidouble_invariants(b: BidoubleData) -> BidoubleInvariants:
     """Invariants of the (Z/2)^2-cover: chi from the three half-classes L_i,
-    p_g from h^0(K + L_i), and the bicanonical test h^0(-K - L_i) = 0."""
+    p_g from h^0(K + L_i), and the bicanonical test h^0(-K - L_i) = 0.
+
+    chi = 4 chi(O) + sum L_i(K + L_i)/2 (Catanese 1984) is 1 + sum chi(-L_i)
+    by Riemann-Roch, whose parity check is the only one needed."""
     k = canonical_class(b.cfg)
     d1, d2, d3 = b.branch_classes
     halves = [
@@ -140,13 +143,7 @@ def bidouble_invariants(b: BidoubleData) -> BidoubleInvariants:
     ]
     total = d1 + d2 + d3
     k_sq = intersect(2 * k + total, 2 * k + total)
-    chi = 4 * riemann_roch_chi(ZERO)  # 4 * chi(O)
-    chi_corr = Fraction(0)
-    for li in halves:
-        chi_corr += Fraction(intersect(li, k + li), 2)
-    if chi_corr.denominator != 1:
-        raise ValueError(f"non-integral chi correction {chi_corr}")
-    chi += int(chi_corr)
+    chi = 1 + sum(riemann_roch_chi(-li) for li in halves)
     pg = h0(k, b.cfg) + sum(h0(k + li, b.cfg) for li in halves)
     q = pg + 1 - chi
     bicanonical = all(h0(-k - li, b.cfg) == 0 for li in halves)
@@ -166,10 +163,10 @@ class SurfaceNumerology(_FrozenRecord):
 
 def surface_numerology(chi: int, k_sq: int) -> SurfaceNumerology:
     """Noether numerology: e = 12*chi - K^2, h^2 = e - 2 (for p_g = q = 0), and
-    the Miyaoka bound r * 25/12 <= c_2 - K^2/3 on disjoint (-4)-curves."""
+    the Miyaoka bound r * 25/12 <= c_2 - K^2/3 on disjoint (-4)-curves, that
+    is 25 r <= 12 c_2 - 4 K^2."""
     euler = 12 * chi - k_sq
-    budget = Fraction(euler) - Fraction(k_sq, 3)
-    max_r = (budget / Fraction(25, 12)).__floor__()
+    max_r = (12 * euler - 4 * k_sq) // 25
     return SurfaceNumerology(euler=euler, h2=euler - 2, max_disjoint_minus4=max_r)
 
 

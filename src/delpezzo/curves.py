@@ -98,7 +98,9 @@ def component_labels(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[str, .
     """ADE labels of the connected components of a negative definite
     (-2)-graph on nodes 0..n-1: a chain of k curves is A_k; a branched
     component of k curves is D_k when the arms from its branch node have
-    lengths (1, 1, k-3), and E_k when they have lengths (1, 2, k-4)."""
+    lengths (1, 1, k-3), and E_k when they have lengths (1, 2, k-4) with
+    k <= 8.  Any other component (a cycle, a node of degree 4 or more, two
+    branch nodes, other arms) is not a Dynkin diagram and raises ValueError."""
     adjacency: list[set[int]] = [set() for _ in range(n)]
     for i, j in edges:
         adjacency[i].add(j)
@@ -113,9 +115,13 @@ def component_labels(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[str, .
                 unseen.remove(other)
                 component.add(other)
                 stack.append(other)
-        branch = next((i for i in component if len(adjacency[i]) > 2), None)
+        degrees = sorted(len(adjacency[i]) for i in component)
+        # A connected graph on m nodes is a tree exactly when it has m - 1
+        # edges; a Dynkin tree has at most one branch node, of degree 3.
+        dynkin = sum(degrees) == 2 * len(component) - 2 and degrees[-1] <= 3 and degrees[-2:] != [3, 3]
         kind = "A"
-        if branch is not None:
+        if dynkin and degrees[-1] == 3:
+            branch = next(i for i in component if len(adjacency[i]) == 3)
             arms = []
             for node in adjacency[branch]:
                 previous, length = branch, 1
@@ -123,7 +129,11 @@ def component_labels(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[str, .
                     previous, node = node, min(adjacency[node] - {previous})
                     length += 1
                 arms.append(length)
-            kind = "D" if sorted(arms)[1] == 1 else "E"
+            a, b, c = sorted(arms)
+            kind = "D" if b == 1 else "E"
+            dynkin = a == 1 and (b == 1 or (b == 2 and c <= 4))
+        if not dynkin:
+            raise ValueError(f"not a Dynkin diagram: the component on nodes {sorted(component)} of {edges}")
         labels.append(f"{kind}{len(component)}")
     return tuple(sorted(labels))
 

@@ -126,9 +126,6 @@ class DivisorClass(_FrozenRecord):
         object.__setattr__(d, "coeffs", coeffs)
         return d
 
-    def dot(self, other: "DivisorClass | QDivisorClass") -> Coeff:
-        return intersect(self, other)
-
     def __add__(self, other):
         if isinstance(other, DivisorClass):
             return DivisorClass._unchecked(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -176,9 +173,6 @@ class QDivisorClass(_FrozenRecord):
         if any(isinstance(c, float) for c in coeffs):
             raise TypeError("coefficients must be exact integers or Fractions, not floats")
         object.__setattr__(self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
-
-    def dot(self, other: "DivisorClass | QDivisorClass") -> Coeff:
-        return intersect(self, other)
 
     def __add__(self, other):
         if isinstance(other, (DivisorClass, QDivisorClass)):
@@ -300,12 +294,10 @@ GENERAL = CONFIGURATIONS["GENERAL"]
 
 
 def get_configuration(name: str) -> SurfaceConfiguration:
-    try:
-        return CONFIGURATIONS[name.upper()]
-    except KeyError:
-        raise ValueError(
-            f"unknown configuration {name!r}; expected one of {sorted(CONFIGURATIONS)}"
-        ) from None
+    cfg = CONFIGURATIONS.get(name.upper()) if isinstance(name, str) else None
+    if cfg is None:
+        raise ValueError(f"unknown configuration {name!r}; expected one of {sorted(CONFIGURATIONS)}")
+    return cfg
 
 
 def canonical_class(cfg: SurfaceConfiguration) -> DivisorClass:
@@ -391,7 +383,8 @@ _TERM_RE = re.compile(r"([+-]?)(\d*)(l|e[1-4])", re.IGNORECASE)
 
 def parse_class_label(text: str, cfg: SurfaceConfiguration | None = None,
                       basis: str = "standard") -> DivisorClass:
-    """Parse a whitespace-free class label such as ``3l-e1-e2-2e3-e4``.
+    """Parse a whitespace-free class label such as ``3l-e1-e2-2e3-e4``, or
+    ``0`` for the zero class (as `render_class` prints it).
 
     With ``basis="curve"`` the letters refer to the actual exceptional curves
     of the given configuration and the result is converted to the standard
@@ -413,7 +406,7 @@ def parse_class_label(text: str, cfg: SurfaceConfiguration | None = None,
         index = 0 if sym == "l" else int(sym[1])
         coords[index] += sign * mult
         pos = match.end()
-    if pos != len(compact):
+    if pos != len(compact) and compact != "0":
         raise ValueError(f"cannot parse class label {text!r} at position {pos}")
     if basis == "standard":
         return DivisorClass(tuple(coords))
@@ -426,10 +419,11 @@ def parse_class_label(text: str, cfg: SurfaceConfiguration | None = None,
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def render_class(coords: Sequence[Coeff], symbols: Sequence[str] = ("l", "e1", "e2", "e3", "e4")) -> str:
-    """Human-readable rendering, e.g. ``3l-e1-e2-2e3-e4`` or ``l3+2/3e3+1/3c``."""
+def render_class(coords: Sequence[Coeff]) -> str:
+    """Human-readable rendering, e.g. ``3l-e1-e2-2e3-e4`` or ``4/3l-1/3e1-2/3e3``;
+    the zero class is ``0``."""
     parts: list[str] = []
-    for coeff, sym in zip(coords, symbols):
+    for coeff, sym in zip(coords, ("l", "e1", "e2", "e3", "e4")):
         if coeff == 0:
             continue
         sign = "-" if coeff < 0 else "+"
@@ -473,8 +467,10 @@ def class_to_json(d: AnyClass, cfg: SurfaceConfiguration, basis: str = "standard
 
 
 def class_from_json(obj: dict) -> tuple[AnyClass, SurfaceConfiguration]:
-    """Inverse of `class_to_json`; "coeffs" must be a JSON list of exact
-    numbers."""
+    """Inverse of `class_to_json`: `obj` must be a JSON object whose "coeffs"
+    is a JSON list of exact numbers."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object for a class, got {obj!r}")
     cfg = get_configuration(obj.get("config", "GENERAL"))
     coeffs = obj.get("coeffs")
     if not isinstance(coeffs, list):

@@ -3,16 +3,18 @@
 The isometries of the Picard lattice that fix K form the Weyl group W(A4),
 isomorphic to S5 (Dolgachev, *Classical Algebraic Geometry*, ch. 8).  The
 ten (-1)-classes correspond to the 2-subsets of {1..5}, two lines meeting
-exactly when their pairs are disjoint (the Petersen graph), and
-`generate_group` builds the 120 elements from the permutations of {1..5}:
-the columns of each matrix are sums of the pair lines' coefficient tuples.
-`line_action` reads each element as a permutation of the lines off the same
-integer columns (Ei goes to column i, L - Ei - Ej to column 0 minus columns
-i and j), and the orbit checks work on those index tuples.  The named
-automorphisms (coordinate permutations of the four exceptional classes, and
-the quadratic involutions L -> 2L - Ei - Ej - Ek) transport cover data; the
-orbit computations below back the transitivity statements used to
-normalize it.
+exactly when their pairs are disjoint (the Petersen graph), and a
+permutation s of {1..5} sends the line of {a,b} to the line of
+{s(a),s(b)}.  `_s5_automorphism` is the one construction of a matrix: its
+columns, the images of L and E1..E4, are sums of the pair lines'
+coefficient tuples.  The named automorphisms are S5 elements too: a point
+permutation of E1..E4 is a permutation that fixes 5, and the quadratic
+involution L -> 2L - Ei - Ej - Ek is the transposition of the fourth point
+with 5.  `line_action` reads each element as a permutation of the lines off
+the same integer columns (Ei goes to column i, L - Ei - Ej to column 0
+minus columns i and j), and the orbit checks work on those index tuples.
+The named automorphisms transport cover data; the orbit computations below
+back the transitivity statements used to normalize it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .lattice import (
     E,
     K,
     L,
-    ZERO,
     DivisorClass,
     _FrozenRecord,
     intersect,
@@ -44,10 +45,6 @@ _GRAM: Matrix = (
     (0, 0, 0, -1, 0),
     (0, 0, 0, 0, -1),
 )
-
-
-def _columns_to_matrix(images: list[DivisorClass]) -> Matrix:
-    return tuple(tuple(images[j].coeffs[i] for j in range(5)) for i in range(5))
 
 
 class LatticeAutomorphism(_FrozenRecord):
@@ -88,41 +85,6 @@ class LatticeAutomorphism(_FrozenRecord):
         return True
 
 
-IDENTITY = LatticeAutomorphism(_columns_to_matrix([L, *E]), name="id")
-
-
-def perm_automorphism(s: dict[int, int] | tuple[int, int, int, int]) -> LatticeAutomorphism:
-    """Automorphism sending Ei -> E_{s(i)} and fixing L.
-
-    `s` is a permutation of {1,2,3,4}, given as a mapping or as the one-line
-    tuple (s(1), s(2), s(3), s(4)).
-    """
-    if not isinstance(s, dict):
-        s = {i + 1: v for i, v in enumerate(s)}
-    if sorted(s) != [1, 2, 3, 4] or sorted(s.values()) != [1, 2, 3, 4]:
-        raise ValueError(f"not a permutation of 1..4: {s}")
-    images = [L] + [E[s[i] - 1] for i in (1, 2, 3, 4)]
-    name = "".join(str(s[i]) for i in (1, 2, 3, 4))
-    return LatticeAutomorphism(_columns_to_matrix(images), name=f"perm:{name}")
-
-
-def cremona_automorphism(base: set[int] | frozenset[int] | tuple[int, ...]) -> LatticeAutomorphism:
-    """Quadratic involution based at three points: L -> 2L - Ei - Ej - Ek,
-    Ei -> L - Ej - Ek for i in the base, the remaining class fixed."""
-    base = frozenset(base)
-    if len(base) != 3 or not base <= {1, 2, 3, 4}:
-        raise ValueError(f"base must be a 3-subset of {{1,2,3,4}}, got {set(base)}")
-    images = [2 * L - sum((E[i - 1] for i in base), ZERO)]
-    for i in (1, 2, 3, 4):
-        if i in base:
-            j, k = sorted(base - {i})
-            images.append(L - E[j - 1] - E[k - 1])
-        else:
-            images.append(E[i - 1])
-    name = "".join(str(i) for i in sorted(base))
-    return LatticeAutomorphism(_columns_to_matrix(images), name=f"cremona:{name}")
-
-
 #: The ten lines indexed by 2-subsets of {1..5}: Ei <-> {i,5} and
 #: L - Ei - Ej <-> {1..4} minus {i,j}.
 PAIR_LINES: dict[frozenset[int], DivisorClass] = {
@@ -140,26 +102,54 @@ _PAIR_COEFFS: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
+def _s5_automorphism(s: tuple[int, int, int, int, int], name: str = "") -> LatticeAutomorphism:
+    """The element of the permutation s of {1..5}, given as the one-line
+    tuple (s(1), ..., s(5)).  Ei = {i,5} goes to {s(i),s(5)} and
+    L - E1 - E2 = {3,4} to {s(3),s(4)}; the columns of the matrix are these
+    images and L = E1 + E2 + (L - E1 - E2).  The constructor checks that the
+    matrix preserves the form and K."""
+    s1, s2, s3, s4, s5 = s
+    e1, e2, e3, e4 = (_PAIR_COEFFS[t, s5] for t in (s1, s2, s3, s4))
+    ell = [a + b + c for a, b, c in zip(e1, e2, _PAIR_COEFFS[s3, s4])]
+    return LatticeAutomorphism(tuple(zip(ell, e1, e2, e3, e4)), name)
+
+
+IDENTITY = _s5_automorphism((1, 2, 3, 4, 5), name="id")
+
+
+def perm_automorphism(s: dict[int, int] | tuple[int, int, int, int]) -> LatticeAutomorphism:
+    """Automorphism sending Ei -> E_{s(i)} and fixing L: the S5 element that
+    extends s by fixing 5.
+
+    `s` is a permutation of {1,2,3,4}, given as a mapping or as the one-line
+    tuple (s(1), s(2), s(3), s(4)).
+    """
+    if not isinstance(s, dict):
+        s = {i + 1: v for i, v in enumerate(s)}
+    if sorted(s) != [1, 2, 3, 4] or sorted(s.values()) != [1, 2, 3, 4]:
+        raise ValueError(f"not a permutation of 1..4: {s}")
+    images = tuple(s[i] for i in (1, 2, 3, 4))
+    return _s5_automorphism((*images, 5), name=f"perm:{''.join(map(str, images))}")
+
+
+def cremona_automorphism(base: set[int] | frozenset[int] | tuple[int, ...]) -> LatticeAutomorphism:
+    """Quadratic involution based at three points: L -> 2L - Ei - Ej - Ek,
+    Ei -> L - Ej - Ek for i in the base, the remaining class fixed.  It is
+    the transposition of the point outside the base with 5."""
+    base = frozenset(base)
+    if len(base) != 3 or not base <= {1, 2, 3, 4}:
+        raise ValueError(f"base must be a 3-subset of {{1,2,3,4}}, got {set(base)}")
+    [m] = {1, 2, 3, 4} - base
+    s = tuple(5 if i == m else m if i == 5 else i for i in range(1, 6))
+    return _s5_automorphism(s, name=f"cremona:{''.join(map(str, sorted(base)))}")
+
+
 @lru_cache(maxsize=1)
 def generate_group() -> tuple[LatticeAutomorphism, ...]:
-    """The 120 elements of W(A4) = S5, one per permutation of {1..5}.
-
-    A permutation s sends the line of the pair {a,b} to the line of
-    {s(a),s(b)}.  The images of E1..E4 and of L = E1 + E2 + (L - E1 - E2)
-    are the columns of the matrix, read off the coefficient tuples of the
-    pair lines; the constructor checks that it preserves the form and K.
-    """
-    group = []
-    for s in itertools.permutations(range(1, 6)):
-        if s == (1, 2, 3, 4, 5):
-            group.append(IDENTITY)
-            continue
-        # Ei = {i,5} goes to {s(i),s(5)}, L - E1 - E2 = {3,4} to {s(3),s(4)}.
-        s1, s2, s3, s4, s5 = s
-        e1, e2, e3, e4 = (_PAIR_COEFFS[t, s5] for t in (s1, s2, s3, s4))
-        ell = [a + b + c for a, b, c in zip(e1, e2, _PAIR_COEFFS[s3, s4])]
-        group.append(LatticeAutomorphism(tuple(zip(ell, e1, e2, e3, e4))))
-    return tuple(group)
+    """The 120 elements of W(A4) = S5, one per permutation of {1..5}, in
+    lexicographic order (the first is IDENTITY)."""
+    return tuple(IDENTITY if s == (1, 2, 3, 4, 5) else _s5_automorphism(s)
+                 for s in itertools.permutations(range(1, 6)))
 
 
 #: Each line as a combination of matrix columns: (the column it adds, the

@@ -11,7 +11,6 @@ from delpezzo.casework import (
     enumerate_table,
     load_printed_table,
     preimage_configuration_search,
-    rows_to_csv,
 )
 from delpezzo.cohomology import h0
 from delpezzo.curves import minus_one_curves, negative_curve_classes
@@ -181,14 +180,6 @@ def test_diff_summary_names_constraints():
     text = "\n".join(diff_tables("p5").summary_lines())
     assert "L^2 in {0, 2}" in text
     assert "derived-column mismatch" in text
-
-
-def test_rows_to_csv_round_trip():
-    rows = enumerate_table("p4")
-    text = rows_to_csv("p4", rows)
-    lines = text.strip().splitlines()
-    assert lines[0] == "a,b,L_sq,L_dot_E,E_sq,E_dot_Z"
-    assert len(lines) == 13
 
 
 # -- preimage feasibility ------------------------------------------------------

@@ -279,3 +279,41 @@ def test_parts_file_object_without_coeffs_exits_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and "expected a JSON list" in err
+
+
+def _pg_bound_scenario(bound):
+    source = resources.files("delpezzo.data").joinpath("scenarios/cover_disjoint_minus4_pair.json")
+    raw = json.loads(source.read_text())
+    raw["pg_bound_class"] = bound
+    return raw
+
+
+def _bidouble_scenario_without_config():
+    source = resources.files("delpezzo.data").joinpath("scenarios/bidouble_burniat.json")
+    return {**json.loads(source.read_text()), "config": None}
+
+
+@pytest.mark.parametrize("raw, message", [
+    (_pg_bound_scenario({"coeffs": [1, 0, 0, 0, 0], "config": None}), "unknown configuration None"),
+    (_pg_bound_scenario({"coeffs": [1, 0, 0, 0, 0], "config": 5}), "unknown configuration 5"),
+    (_pg_bound_scenario("l-e1"), "expected a JSON object for a class, got 'l-e1'"),
+    (_bidouble_scenario_without_config(), "unknown configuration None"),
+], ids=["pg-bound-config-null", "pg-bound-config-number", "pg-bound-string", "bidouble-config-null"])
+def test_scenario_with_a_non_string_config_or_a_non_object_class_exits_3(tmp_path, capsys, raw, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = invoke(capsys, "cover", "--scenario", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_zero_class_round_trips_through_h0(capsys):
+    """`render_class` prints the zero class as 0, so `--class 0` parses."""
+    code, out, _ = invoke(capsys, "h0", "--class", "e1", "--verbose")
+    assert code == 0
+    assert out.splitlines()[-1] == "  nef part: 0"
+    code, out, _ = invoke(capsys, "h0", "--class", "0", "--verbose")
+    assert code == 0
+    assert out == "1\n  nef part: 0\n"

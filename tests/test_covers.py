@@ -2,6 +2,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delpezzo.covers import (
     BidoubleData,
@@ -13,7 +14,7 @@ from delpezzo.covers import (
     ramification_check,
     surface_numerology,
 )
-from delpezzo.lattice import E, GENERAL, L, MINUS_K
+from delpezzo.lattice import E, GENERAL, K, L, MINUS_K, DivisorClass, intersect
 
 
 def scenario_path(name):
@@ -154,7 +155,55 @@ def test_bidouble_parity_failure_names_the_pair():
         bidouble_invariants(data)
 
 
+def fraction_bidouble_chi(b: BidoubleData) -> int:
+    """chi = 4 chi(O) + sum L_i(K + L_i)/2 (Catanese 1984) summed in
+    Fractions, as before the Riemann-Roch form 1 + sum chi(-L_i)."""
+    d1, d2, d3 = b.branch_classes
+    halves = [DivisorClass(tuple(c // 2 for c in (x + y).coeffs)) for x, y in ((d2, d3), (d1, d3), (d1, d2))]
+    correction = sum((Fraction(intersect(li, K + li), 2) for li in halves), Fraction(0))
+    assert correction.denominator == 1
+    return 4 + int(correction)
+
+
+def test_bidouble_chi_matches_the_fraction_formula_on_the_scenarios():
+    for name in ("bidouble_burniat.json", "bidouble_conic_variant.json"):
+        [data] = load_scenario(scenario_path(name))
+        inv = bidouble_invariants(data)
+        assert inv.pg + 1 - inv.q == fraction_bidouble_chi(data) == 1
+
+
+@st.composite
+def even_branch_data(draw):
+    """Three branch classes with even pairwise sums: D_i = p + 2 v_i for one
+    parity vector p."""
+    parity = draw(st.tuples(*[st.integers(0, 1)] * 5))
+    small = st.tuples(*[st.integers(-2, 2)] * 5)
+    d1, d2, d3 = (DivisorClass(tuple(a + 2 * b for a, b in zip(parity, draw(small)))) for _ in range(3))
+    return BidoubleData(d1=(d1,), d2=(d2,), d3=(d3,), cfg=GENERAL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(even_branch_data())
+def test_bidouble_chi_matches_the_fraction_formula(data):
+    inv = bidouble_invariants(data)
+    assert inv.pg + 1 - inv.q == fraction_bidouble_chi(data)
+
+
 # -- numerology ---------------------------------------------------------------
+
+def fraction_miyaoka_floor(chi: int, k_sq: int) -> int:
+    """floor((c_2 - K^2/3) / (25/12)) in Fractions, as before the integer
+    floor division."""
+    euler = 12 * chi - k_sq
+    return ((Fraction(euler) - Fraction(k_sq, 3)) / Fraction(25, 12)).__floor__()
+
+
+def test_miyaoka_floor_matches_the_fraction_formula():
+    for chi in range(-6, 7):
+        for k_sq in range(-30, 31):
+            assert surface_numerology(chi, k_sq).max_disjoint_minus4 == fraction_miyaoka_floor(chi, k_sq)
+    assert fraction_miyaoka_floor(0, 1) == surface_numerology(0, 1).max_disjoint_minus4 == -1
+
 
 @pytest.mark.parametrize(
     "chi, k_sq, expected",

@@ -257,3 +257,17 @@ def test_component_labels_name_every_ade_pattern(n):
     assert patterns
     for labels, edges, _, _ in patterns:
         assert component_labels(n, edges) == labels
+
+
+@pytest.mark.parametrize("n, edges", [
+    (4, ((0, 1), (1, 2), (2, 3), (3, 0))),  # 4-cycle (affine A3)
+    (5, ((0, 1), (0, 2), (0, 3), (0, 4))),  # K_{1,4} (affine D4)
+    (7, ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6))),  # arms (2, 2, 2) (affine E6)
+    (8, ((0, 1), (0, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7))),  # arms (1, 3, 3)
+    (9, ((0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7), (7, 8))),  # arms (1, 2, 5)
+    (6, ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5))),  # two branch nodes (affine D5)
+    (5, ((0, 1), (1, 2), (3, 4), (2, 0))),  # a triangle beside an A2
+])
+def test_component_labels_reject_non_dynkin_components(n, edges):
+    with pytest.raises(ValueError, match="not a Dynkin diagram"):
+        component_labels(n, edges)

@@ -236,17 +236,33 @@ def test_parse_curve_basis_label():
     assert parse_class_label("2l-e1-e2-e3-e4", p2, "curve") == D(2, -1, -1, 0, -1)
 
 
-@pytest.mark.parametrize("bad", ["", "3x", "l-e5", "l+", "2", "l e1"])
+@pytest.mark.parametrize("bad", ["", "3x", "l-e5", "l+", "2", "l e1", "00", "-0", "0+l"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_class_label(bad)
 
 
+def test_zero_label_parses_in_either_basis():
+    assert render_class(ZERO.coeffs) == "0"
+    assert parse_class_label("0") == ZERO
+    assert parse_class_label("0", get_configuration("P6"), "curve") == ZERO
+
+
+@pytest.mark.parametrize("name", [None, 5, ["GENERAL"]])
+def test_configuration_name_must_be_a_string(name):
+    with pytest.raises(ValueError, match="unknown configuration"):
+        get_configuration(name)
+
+
+@pytest.mark.parametrize("obj", ["l-e1", [1, 0, 0, 0, 0], None])
+def test_class_from_json_needs_an_object(obj):
+    with pytest.raises(ValueError, match="expected a JSON object"):
+        class_from_json(obj)
+
+
 @given(coeffs5)
 def test_render_parse_round_trip(v):
     d = D(*v)
-    if d.is_zero():
-        return
     assert parse_class_label(render_class(d.coeffs)).coeffs == v
 
 

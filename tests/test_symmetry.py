@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from delpezzo import symmetry
 from delpezzo.covers import BidoubleData
 from delpezzo.curves import ALL_MINUS_ONE_CLASSES
 from delpezzo.exact import mat_mul
@@ -13,6 +14,7 @@ from delpezzo.lattice import (
     GENERAL,
     K,
     L,
+    ZERO,
     DivisorClass,
     QDivisorClass,
     get_configuration,
@@ -32,6 +34,73 @@ from delpezzo.symmetry import (
     same_family,
     transport_cover_data,
 )
+
+
+def columns_to_matrix(images) -> tuple:
+    """The matrix whose columns are the images of L, E1..E4."""
+    return tuple(tuple(images[j].coeffs[i] for j in range(5)) for i in range(5))
+
+
+def image_perm_automorphism(s) -> LatticeAutomorphism:
+    """Ei -> E_{s(i)}, L fixed, from the images of the basis classes, as
+    before the S5 construction."""
+    images = [L] + [E[s[i] - 1] for i in range(4)]
+    return LatticeAutomorphism(columns_to_matrix(images), name="perm:" + "".join(map(str, s)))
+
+
+def image_cremona_automorphism(base) -> LatticeAutomorphism:
+    """L -> 2L - sum of the base, Ei -> L - Ej - Ek in the base, from the
+    images of the basis classes, as before the S5 construction."""
+    images = [2 * L - sum((E[i - 1] for i in base), ZERO)]
+    for i in (1, 2, 3, 4):
+        if i in base:
+            j, k = sorted(set(base) - {i})
+            images.append(L - E[j - 1] - E[k - 1])
+        else:
+            images.append(E[i - 1])
+    return LatticeAutomorphism(columns_to_matrix(images), name="cremona:" + "".join(map(str, sorted(base))))
+
+
+def image_s5_automorphism(s) -> LatticeAutomorphism:
+    """The element of the permutation s of {1..5} from DivisorClass sums of
+    the pair lines: Ei = {i,5} goes to {s(i),s(5)}, and L = E1 + E2 +
+    (L - E1 - E2) with L - E1 - E2 = {3,4}."""
+    def line(a, b):
+        return PAIR_LINES[frozenset((s[a - 1], s[b - 1]))]
+
+    images = [line(1, 5) + line(2, 5) + line(3, 4)] + [line(i, 5) for i in (1, 2, 3, 4)]
+    return LatticeAutomorphism(columns_to_matrix(images), name="id" if s == (1, 2, 3, 4, 5) else "")
+
+
+def test_named_automorphisms_match_the_column_image_construction():
+    for p in itertools.permutations((1, 2, 3, 4)):
+        assert perm_automorphism(p) == image_perm_automorphism(p)
+    for base in itertools.combinations((1, 2, 3, 4), 3):
+        assert cremona_automorphism(base) == image_cremona_automorphism(base)
+    assert IDENTITY == image_s5_automorphism((1, 2, 3, 4, 5))
+    assert IDENTITY.matrix == columns_to_matrix([L, *E])
+
+
+def test_every_group_element_matches_the_column_image_construction():
+    expected = tuple(image_s5_automorphism(s) for s in itertools.permutations(range(1, 6)))
+    assert generate_group() == expected
+    assert generate_group()[0] is IDENTITY
+
+
+def test_a_corrupted_pair_line_fails_the_group_check(monkeypatch):
+    from delpezzo.verify import run_verification
+
+    try:
+        with monkeypatch.context() as patch:
+            patch.setitem(symmetry._PAIR_COEFFS, (1, 5), (0, 0, 1, 0, 0))
+            generate_group.cache_clear()
+            _, lines = run_verification()
+        [line] = [x for x in lines if "symmetry: group order and invariance" in x]
+        assert line.startswith("[FAIL] symmetry: group order and invariance -- raised ValueError")
+    finally:
+        generate_group.cache_clear()
+    ok, lines = run_verification()
+    assert ok and "[PASS] symmetry: group order and invariance" in lines
 
 
 def closure_group() -> set:
