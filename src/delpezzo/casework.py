@@ -81,9 +81,6 @@ class ConstraintSystem(_FrozenRecord):
     def chain_quadratic(self, z: tuple[int, ...]) -> int:
         return sum(c * c for c in z) - sum(a * b for a, b in zip(z, z[1:]))
 
-    def quadratic_rhs(self, l_sq: int, l_dot_e: int, e_sq: int) -> Fraction:
-        return Fraction(self.doubled_quadratic_rhs(l_sq, l_dot_e, e_sq), 2)
-
     def doubled_quadratic_rhs(self, l_sq: int, l_dot_e: int, e_sq: int) -> int:
         return 20 - 4 * l_sq - 4 * l_dot_e - e_sq
 

@@ -5,7 +5,9 @@ input file, 141 standard output closed by its reader before all output was
 written (the status of a process that SIGPIPE ended; no traceback is
 printed).  Class literals use the compact notation ``3l-e1-e2-2e3-e4`` with
 an explicit ``--basis`` flag; every subcommand accepts ``--format
-json|csv|text`` and ``--config GENERAL|P1..P6``.
+json|csv|text`` and ``--config GENERAL|P1..P6``.  ``--format csv`` changes
+only ``curves``, ``cover``, ``tables`` and ``decompose``; the other commands
+print text (``verify`` its ``--verbose`` text).
 
 Each command imports the modules it uses when it runs, so that a short query
 such as ``h0`` does not pay for loading the table, cover and symmetry code.
@@ -43,62 +45,47 @@ class InputFileError(Exception):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="delpezzo",
-        description="Exact divisor calculus on the degree-5 del Pezzo surface and its degenerations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _arg(*flags, **options):
+    return flags, options
 
-    def add_common(p):
+
+def _class_args(basis: str, help_text: str | None = None):
+    return (_arg("--class", dest="cls", required=True, help=help_text),
+            _arg("--basis", choices=("standard", "curve"), default=basis))
+
+
+_SCENARIO = _arg("--scenario", required=True)
+
+#: Subcommand name -> handler(args) -> exit code, in declaration order.
+_COMMANDS = {}
+#: Subcommand name -> (help line, arguments besides --format and --config).
+_ARGUMENTS = {}
+
+
+def _command(help_text: str, *arguments):
+    """Declare the decorated `_cmd_<name>` as the subcommand <name>."""
+    def register(handler):
+        name = handler.__name__.removeprefix("_cmd_")
+        _COMMANDS[name] = handler
+        _ARGUMENTS[name] = (help_text, arguments)
+        return handler
+    return register
+
+
+def _build_parser(chosen: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `chosen` alone; either prints
+    the same usage and errors for a command line that starts with `chosen`."""
+    parser = argparse.ArgumentParser(prog="delpezzo", description=(
+        "Exact divisor calculus on the degree-5 del Pezzo surface and its degenerations."))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _ARGUMENTS if chosen is None else (chosen,):
+        help_text, arguments = _ARGUMENTS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--config", default="GENERAL", help="GENERAL or P1..P6 (default GENERAL)")
-
-    p = sub.add_parser("curves", help="negative-curve inventory and incidence matrix")
-    add_common(p)
-
-    p = sub.add_parser("h0", help="dimension of the space of sections of a class")
-    add_common(p)
-    p.add_argument("--class", dest="cls", required=True, help="class literal, e.g. 2l-e1-e2-e3-e4")
-    p.add_argument("--basis", choices=("standard", "curve"), default="standard")
-    p.add_argument("--verbose", action="store_true", help="print the fixed-part reduction trace")
-
-    p = sub.add_parser("pullback", help="numerical pullback through the (-2)-contraction")
-    add_common(p)
-    p.add_argument("--class", dest="cls", required=True, help="representative class literal")
-    p.add_argument("--basis", choices=("standard", "curve"), default="curve")
-
-    p = sub.add_parser("orbits", help="lattice automorphism group and line orbits")
-    add_common(p)
-
-    p = sub.add_parser("transport", help="apply automorphisms to a bidouble scenario file")
-    add_common(p)
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--apply", action="append", default=[],
-                   help="perm:<one-line images, e.g. 1243> or cremona:<3 digits>; repeatable, applied left to right")
-
-    p = sub.add_parser("cover", help="cover invariants from a scenario file")
-    add_common(p)
-    p.add_argument("--scenario", required=True)
-
-    p = sub.add_parser("tables", help="enumerate one of the three solution tables")
-    add_common(p)
-    p.add_argument("--case", choices=TABLE_CASES, required=True)
-    p.add_argument("--no-diff", action="store_true",
-                   help="suppress the stderr diff against the published rows")
-
-    p = sub.add_parser("decompose", help="split a class into effective parts")
-    add_common(p)
-    p.add_argument("--class", dest="cls", required=True)
-    p.add_argument("--basis", choices=("standard", "curve"), default="standard")
-    p.add_argument("--parts", default="lines",
-                   help="parts selector: lines, rulings, or file:<json list of class objects>")
-    p.add_argument("--max-parts", type=int, default=2)
-
-    p = sub.add_parser("verify", help="run the golden verification suite")
-    add_common(p)
-    p.add_argument("--verbose", action="store_true")
-
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+    sub.choices = _ARGUMENTS  # the usage line names every command, built or not
     return parser
 
 
@@ -129,6 +116,7 @@ def _print_rows(rows: list[dict], fmt: str, text_renderer=None) -> None:
                 print("  ".join(f"{k}={v}" for k, v in row.items()))
 
 
+@_command("negative-curve inventory and incidence matrix")
 def _cmd_curves(args) -> int:
     from . import contraction, curves
 
@@ -162,6 +150,9 @@ def _cmd_curves(args) -> int:
     return EXIT_OK
 
 
+@_command("dimension of the space of sections of a class",
+          *_class_args("standard", "class literal, e.g. 2l-e1-e2-e3-e4"),
+          _arg("--verbose", action="store_true", help="print the fixed-part reduction trace"))
 def _cmd_h0(args) -> int:
     from .cohomology import h0_with_trace
 
@@ -189,6 +180,8 @@ def _cmd_h0(args) -> int:
     return EXIT_OK
 
 
+@_command("numerical pullback through the (-2)-contraction",
+          *_class_args("curve", "representative class literal"))
 def _cmd_pullback(args) -> int:
     from . import contraction
 
@@ -203,6 +196,7 @@ def _cmd_pullback(args) -> int:
     return EXIT_OK
 
 
+@_command("lattice automorphism group and line orbits")
 def _cmd_orbits(args) -> int:
     from . import symmetry
 
@@ -240,6 +234,9 @@ def _parse_automorphism(token: str) -> symmetry.LatticeAutomorphism:
     )
 
 
+@_command("apply automorphisms to a bidouble scenario file", _SCENARIO,
+          _arg("--apply", action="append", default=[],
+               help="perm:<one-line images, e.g. 1243> or cremona:<3 digits>; repeatable, applied left to right"))
 def _cmd_transport(args) -> int:
     from . import covers, symmetry
 
@@ -270,12 +267,13 @@ def _load_scenarios(path: str):
 
     try:
         return covers.load_scenario(path)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InputFileError(f"{path}: {exc.strerror}") from exc
     except (KeyError, ValueError, TypeError) as exc:
         raise InputFileError(f"{path}: {exc}") from exc
 
 
+@_command("cover invariants from a scenario file", _SCENARIO)
 def _cmd_cover(args) -> int:
     from . import covers
 
@@ -312,6 +310,9 @@ def _cmd_cover(args) -> int:
     return EXIT_OK
 
 
+@_command("enumerate one of the three solution tables",
+          _arg("--case", choices=TABLE_CASES, required=True),
+          _arg("--no-diff", action="store_true", help="suppress the stderr diff against the published rows"))
 def _cmd_tables(args) -> int:
     from . import casework
 
@@ -364,6 +365,10 @@ def _parts_from_file(path: str, cfg) -> list[DivisorClass]:
     return out
 
 
+@_command("split a class into effective parts", *_class_args("standard"),
+          _arg("--parts", default="lines",
+               help="parts selector: lines, rulings, or file:<json list of class objects>"),
+          _arg("--max-parts", type=int, default=2))
 def _cmd_decompose(args) -> int:
     from . import casework
 
@@ -379,6 +384,7 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+@_command("run the golden verification suite", _arg("--verbose", action="store_true"))
 def _cmd_verify(args) -> int:
     from . import verify
 
@@ -392,21 +398,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-_COMMANDS = {
-    "curves": _cmd_curves,
-    "h0": _cmd_h0,
-    "pullback": _cmd_pullback,
-    "orbits": _cmd_orbits,
-    "transport": _cmd_transport,
-    "cover": _cmd_cover,
-    "tables": _cmd_tables,
-    "decompose": _cmd_decompose,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

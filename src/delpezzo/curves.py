@@ -50,18 +50,6 @@ ALL_MINUS_ONE_CLASSES: tuple[DivisorClass, ...] = tuple(E) + tuple(
 )
 
 
-def lattice_roots() -> tuple[DivisorClass, ...]:
-    """All 20 classes with C^2 = -2, C.K = 0 (the A4 root system in K-perp)."""
-    roots = []
-    for i, j in itertools.permutations(range(4), 2):
-        roots.append(E[i] - E[j])
-    for i, j, k in itertools.combinations(range(4), 3):
-        base = L - E[i] - E[j] - E[k]
-        roots.append(base)
-        roots.append(-base)
-    return tuple(roots)
-
-
 def _sort_key(d: DivisorClass) -> tuple[int, ...]:
     return d.coeffs
 

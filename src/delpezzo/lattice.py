@@ -197,14 +197,6 @@ class QDivisorClass(_FrozenRecord):
 
     __mul__ = __rmul__
 
-    def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self.coeffs)
-
-    def as_integral(self) -> DivisorClass:
-        if not self.is_integral():
-            raise ValueError(f"{self} is not an integral class")
-        return DivisorClass(tuple(int(a) for a in self.coeffs))
-
     def __str__(self) -> str:
         return render_class(self.coeffs)
 

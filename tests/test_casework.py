@@ -79,7 +79,7 @@ def box_table(case: str, bound: int) -> tuple[SolutionRow, ...]:
     for l_sq in system.L_SQ_RANGE:
         for e_sq in system.E_SQ_RANGE:
             for l_dot_e in range(0, 9):
-                rhs = system.quadratic_rhs(l_sq, l_dot_e, e_sq)
+                rhs = Fraction(system.doubled_quadratic_rhs(l_sq, l_dot_e, e_sq), 2)
                 for z in by_quadratic.get(rhs, ()):
                     row = SolutionRow(z, l_sq, l_dot_e, e_sq, system.e_dot_z(l_dot_e, e_sq))
                     if not system.violations(row):

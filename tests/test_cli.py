@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import delpezzo
-from delpezzo.cli import EXIT_BROKEN_PIPE, run
+from delpezzo import cli
+from delpezzo.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_USAGE, run
 from delpezzo.lattice import class_from_json
 
 
@@ -317,3 +318,67 @@ def test_zero_class_round_trips_through_h0(capsys):
     code, out, _ = invoke(capsys, "h0", "--class", "0", "--verbose")
     assert code == 0
     assert out == "1\n  nef part: 0\n"
+
+
+@pytest.mark.parametrize("command", ["cover", "transport"])
+def test_directory_as_scenario_exits_3(tmp_path, capsys, command):
+    code, out, err = invoke(capsys, command, "--scenario", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {tmp_path}: ")
+    assert "Traceback" not in err
+
+
+# -- the parser of one subcommand against the parser of all of them ---------------
+
+SCENARIOS = resources.files("delpezzo.data").joinpath("scenarios")
+
+USAGE_CASES = [
+    [], ["-h"], ["--help"], ["-h", "h0"], ["frobnicate"], ["--format", "json", "h0"],
+    *([name, "-h"] for name in cli._COMMANDS),
+    ["h0"], ["tables", "--case", "p9"], ["decompose", "--class", "l-e4", "--max-parts", "x"],
+    ["h0", "--class", "l", "extra"], ["orbits", "extra"],
+]
+
+QUERIES = [
+    ["curves", "--config", "P4", "--format", "csv"],
+    ["h0", "--class", "2l-e1-e2-e3-e4", "--verbose"],
+    ["pullback", "--config", "P4", "--class", "l-e3-e4"],
+    ["orbits", "--format", "json"],
+    ["transport", "--scenario", str(SCENARIOS / "bidouble_burniat.json"), "--apply", "cremona:123"],
+    ["cover", "--scenario", str(SCENARIOS / "cover_disjoint_minus4_pair.json")],
+    ["tables", "--case", "p4", "--no-diff"],
+    ["decompose", "--class", "l-e4", "--parts", "rulings", "--max-parts", "3"],
+    ["verify", "--format", "json"],
+]
+
+
+def test_handlers_and_arguments_are_declared_together():
+    assert list(cli._COMMANDS) == list(cli._ARGUMENTS) == [argv[0] for argv in QUERIES]
+    for name, handler in cli._COMMANDS.items():
+        assert handler.__name__ == f"_cmd_{name}"
+
+
+def full_parse(argv):
+    """(exit code, Namespace or None) from the parser of every subcommand."""
+    try:
+        return EXIT_OK, cli._build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return (EXIT_USAGE if exc.code not in (0, None) else EXIT_OK), None
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=" ".join)
+def test_usage_and_help_match_the_full_parser(capsys, argv):
+    expected_code, namespace = full_parse(argv)
+    expected = capsys.readouterr()
+    assert namespace is None
+    assert invoke(capsys, *argv) == (expected_code, expected.out, expected.err)
+
+
+@pytest.mark.parametrize("argv", QUERIES, ids=lambda argv: argv[0])
+def test_queries_match_the_full_parser(capsys, argv):
+    _, namespace = full_parse(argv)
+    assert cli._build_parser(argv[0]).parse_args(argv) == namespace
+    expected_code = cli._COMMANDS[argv[0]](namespace)
+    expected = capsys.readouterr()
+    assert invoke(capsys, *argv) == (expected_code, expected.out, expected.err)

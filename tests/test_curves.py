@@ -10,7 +10,6 @@ from delpezzo.curves import (
     component_labels,
     incidence_graph,
     is_irreducible,
-    lattice_roots,
     minus_one_curves,
     minus_two_curves,
     negative_curves,
@@ -104,6 +103,18 @@ def test_negative_curve_classes_span_the_lattice(name):
     vectors = {c.coeffs for c in curves}
     assert len(vectors) == len(curves)
     assert len(curves) >= 5
+
+
+def lattice_roots() -> tuple[DivisorClass, ...]:
+    """All 20 classes with C^2 = -2, C.K = 0 (the A4 root system in K-perp)."""
+    roots = []
+    for i, j in itertools.permutations(range(4), 2):
+        roots.append(E[i] - E[j])
+    for i, j, k in itertools.combinations(range(4), 3):
+        base = L - E[i] - E[j] - E[k]
+        roots.append(base)
+        roots.append(-base)
+    return tuple(roots)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGURATIONS))
