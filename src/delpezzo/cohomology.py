@@ -7,11 +7,16 @@ curve.  These curves generate the Mori cone, so the class is nef, and h^0
 equals chi (h^1 = h^2 = 0 for nef classes on a weak del Pezzo surface).  -K is
 nef and big, so by the Hodge index theorem the only nef class of degree 0 is
 0, where chi = 1 as well.
+
+The loop runs on plain ints: each configuration's walls are cached once as
+integer pairing rows, and no class is built per step.  The trace records the
+same (wall, multiple) steps as a loop over `DivisorClass` arithmetic would.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .lattice import (
     MINUS_K,
@@ -43,32 +48,54 @@ class ReductionTrace(_Record):
         self.value = value
 
 
-def _ceil_div(num: int, den: int) -> int:
-    return -((-num) // den)
+@lru_cache(maxsize=None)
+def _wall_rows(cfg: SurfaceConfiguration) -> tuple[tuple[DivisorClass, int, int, int, int, int, int], ...]:
+    """Each negative curve w in `negative_curve_classes` order, with its
+    pairing row (w0, -w1, -w2, -w3, -w4) and -w^2."""
+    return tuple(
+        (wall, wall.coeffs[0], *(-c for c in wall.coeffs[1:]), -intersect(wall, wall))
+        for wall in negative_curve_classes(cfg)
+    )
 
 
 def _reduce_to_nef(d: DivisorClass, cfg: SurfaceConfiguration, trace: ReductionTrace) -> DivisorClass | None:
-    """Strip fixed negative curves; None means h^0 = 0 was detected."""
-    walls = negative_curve_classes(cfg)
+    """Strip fixed negative curves; None means h^0 = 0 was detected.
+
+    Runs on the five coefficients as ints.  Each step pairs them with the
+    cached wall rows and subtracts ceil(D.w / w^2) times the first wall w with
+    D.w < 0: with the row (r0, ..., r4) = (w0, -w1, ..., -w4), D - m*w is
+    (c0 - m*r0, c1 + m*r1, ..., c4 + m*r4)."""
+    rows = _wall_rows(cfg)
+    steps = trace.steps
+    c0, c1, c2, c3, c4 = d.coeffs
     for _ in range(REDUCTION_CAP):
-        if intersect(d, MINUS_K) < 0:
+        if 3 * c0 + c1 + c2 + c3 + c4 < 0:
             return None
-        for wall in walls:
-            pairing = intersect(d, wall)
+        for wall, r0, r1, r2, r3, r4, minus_square in rows:
+            pairing = c0 * r0 + c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4
             if pairing < 0:
-                mult = _ceil_div(pairing, intersect(wall, wall))
-                d = d - mult * wall
-                trace.steps.append((wall, mult))
+                mult = -(pairing // minus_square)
+                c0 -= mult * r0
+                c1 += mult * r1
+                c2 += mult * r2
+                c3 += mult * r3
+                c4 += mult * r4
+                steps.append((wall, mult))
                 break
         else:
-            return d
-    last = ", ".join(f"{mult}*({wall})" for wall, mult in trace.steps[-4:])
+            return DivisorClass._unchecked((c0, c1, c2, c3, c4)) if steps else d
+    last = ", ".join(f"{mult}*({wall})" for wall, mult in steps[-4:])
     raise InternalFaultError(
         f"reduction cap of {REDUCTION_CAP} steps exceeded from {trace.start}; last subtractions: {last}"
     )
 
 
 def h0_with_trace(d: DivisorClass, cfg: SurfaceConfiguration) -> ReductionTrace:
+    """h^0(d) with its fixed-part reduction.  A `QDivisorClass` is read as the
+    integer class with the same coefficients; a non-integral one raises
+    ValueError."""
+    if not isinstance(d, DivisorClass):
+        d = DivisorClass(d.coeffs)
     trace = ReductionTrace(start=d)
     nef = _reduce_to_nef(d, cfg, trace)
     if nef is None:

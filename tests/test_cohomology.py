@@ -4,12 +4,11 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from delpezzo.cohomology import (
     REDUCTION_CAP,
     ReductionTrace,
-    _reduce_to_nef,
     find_all_half_anticanonical_pencils,
     find_half_anticanonical_pencils,
     h0,
@@ -17,7 +16,7 @@ from delpezzo.cohomology import (
     half_anticanonical_candidates,
     is_effective,
 )
-from delpezzo.curves import minus_two_curves, minus_two_gram_adjugate, ruling_classes
+from delpezzo.curves import minus_two_curves, minus_two_gram_adjugate, negative_curve_classes, ruling_classes
 from delpezzo.exact import mat_vec
 from delpezzo.lattice import (
     CONFIGURATIONS,
@@ -27,6 +26,7 @@ from delpezzo.lattice import (
     MINUS_K,
     DivisorClass,
     InternalFaultError,
+    QDivisorClass,
     ZERO,
     get_configuration,
     intersect,
@@ -131,14 +131,35 @@ def oracle_is_nonnegative_minus_two_combination(d, cfg):
     return combo.is_zero()
 
 
+def oracle_reduce_to_nef(d, cfg, trace):
+    """The former one-curve reduction loop, on `DivisorClass` arithmetic."""
+    walls = negative_curve_classes(cfg)
+    for _ in range(REDUCTION_CAP):
+        if intersect(d, MINUS_K) < 0:
+            return None
+        for wall in walls:
+            pairing = intersect(d, wall)
+            if pairing < 0:
+                mult = -((-pairing) // intersect(wall, wall))
+                d = d - mult * wall
+                trace.steps.append((wall, mult))
+                break
+        else:
+            return d
+    last = ", ".join(f"{mult}*({wall})" for wall, mult in trace.steps[-4:])
+    raise InternalFaultError(
+        f"reduction cap of {REDUCTION_CAP} steps exceeded from {trace.start}; last subtractions: {last}"
+    )
+
+
 def oracle_h0_with_trace(d, cfg):
-    """The former h0_with_trace: a degree pre-check, and a (-2)-lattice solve
-    for a nef part of degree 0."""
+    """The former h0_with_trace: a degree pre-check, the one-curve loop, and
+    a (-2)-lattice solve for a nef part of degree 0."""
     trace = ReductionTrace(start=d)
     if intersect(d, MINUS_K) < 0:
         trace.value = 0
         return trace
-    nef = _reduce_to_nef(d, cfg, trace)
+    nef = oracle_reduce_to_nef(d, cfg, trace)
     if nef is None:
         trace.value = 0
         return trace
@@ -170,6 +191,35 @@ def test_h0_trace_matches_the_minus_two_combination_oracle(v, name):
     assert h0_with_trace(d, cfg) == old
     if old.result is not None and intersect(old.result, MINUS_K) == 0:
         assert old.result.is_zero()
+
+
+def _trace_or_fault(h0_trace, d, cfg):
+    try:
+        return h0_trace(d, cfg)
+    except InternalFaultError as fault:
+        return str(fault)
+
+
+COEFF_WIDE = st.integers(-10**5, 10**5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[COEFF_WIDE] * 5), st.sampled_from(sorted(CONFIGURATIONS)))
+@example((890070, -890167, 789436, -230823, 48486), "GENERAL")
+def test_wide_h0_trace_matches_the_one_curve_loop(v, name):
+    # The explicit example is the ROADMAP reproducer: both loops reach the
+    # cap and raise the same message.
+    cfg, d = P[name], D(*v)
+    assert _trace_or_fault(h0_with_trace, d, cfg) == _trace_or_fault(oracle_h0_with_trace, d, cfg)
+
+
+def test_h0_of_a_q_class_needs_integral_coefficients():
+    from fractions import Fraction
+
+    assert h0(QDivisorClass((2, -1, 0, 0, 0)), GENERAL) == 5
+    for coeffs in [(Fraction(3, 2), Fraction(-1, 2), 0, 0, 0), (Fraction(1, 2), Fraction(3, 2), 0, 0, 0)]:
+        with pytest.raises(ValueError, match="non-integral"):
+            h0(QDivisorClass(coeffs), GENERAL)
 
 
 @settings(max_examples=60)
