@@ -4,10 +4,12 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 malformed
 input file, 141 standard output closed by its reader before all output was
 written (the status of a process that SIGPIPE ended; no traceback is
 printed).  Class literals use the compact notation ``3l-e1-e2-2e3-e4`` with
-an explicit ``--basis`` flag; every subcommand accepts ``--format
-json|csv|text`` and ``--config GENERAL|P1..P6``.  ``--format csv`` changes
-only ``curves``, ``cover``, ``tables`` and ``decompose``; the other commands
-print text (``verify`` its ``--verbose`` text).
+an explicit ``--basis`` flag; every subcommand accepts ``--config
+GENERAL|P1..P6`` and ``--format json|text``.  ``curves``, ``cover``,
+``tables`` and ``decompose`` also accept ``--format csv``; ``h0``,
+``pullback``, ``orbits``, ``transport`` and ``verify`` write no CSV, and
+``--format csv`` on them is a usage error.  ``verify --format json`` carries
+the ``--verbose`` lines.
 
 Each command imports the modules it uses when it runs, so that a short query
 such as ``h0`` does not pay for loading the table, cover and symmetry code.
@@ -56,18 +58,25 @@ def _class_args(basis: str, help_text: str | None = None):
 
 _SCENARIO = _arg("--scenario", required=True)
 
+#: The `--format` choices of a command that writes text and JSON, and of
+#: one that also writes CSV.
+_TEXT_JSON = ("json", "text")
+_TEXT_JSON_CSV = ("json", "csv", "text")
+
 #: Subcommand name -> handler(args) -> exit code, in declaration order.
 _COMMANDS = {}
-#: Subcommand name -> (help line, arguments besides --format and --config).
+#: Subcommand name -> (help line, --format choices, arguments besides
+#: --format and --config).
 _ARGUMENTS = {}
 
 
-def _command(help_text: str, *arguments):
-    """Declare the decorated `_cmd_<name>` as the subcommand <name>."""
+def _command(help_text: str, *arguments, formats: tuple[str, ...] = _TEXT_JSON):
+    """Declare the decorated `_cmd_<name>` as the subcommand <name>, which
+    writes the output `formats`."""
     def register(handler):
         name = handler.__name__.removeprefix("_cmd_")
         _COMMANDS[name] = handler
-        _ARGUMENTS[name] = (help_text, arguments)
+        _ARGUMENTS[name] = (help_text, formats, arguments)
         return handler
     return register
 
@@ -79,9 +88,9 @@ def _build_parser(chosen: str | None = None) -> argparse.ArgumentParser:
         "Exact divisor calculus on the degree-5 del Pezzo surface and its degenerations."))
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _ARGUMENTS if chosen is None else (chosen,):
-        help_text, arguments = _ARGUMENTS[name]
+        help_text, formats, arguments = _ARGUMENTS[name]
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--config", default="GENERAL", help="GENERAL or P1..P6 (default GENERAL)")
         for flags, options in arguments:
             p.add_argument(*flags, **options)
@@ -116,7 +125,7 @@ def _print_rows(rows: list[dict], fmt: str, text_renderer=None) -> None:
                 print("  ".join(f"{k}={v}" for k, v in row.items()))
 
 
-@_command("negative-curve inventory and incidence matrix")
+@_command("negative-curve inventory and incidence matrix", formats=_TEXT_JSON_CSV)
 def _cmd_curves(args) -> int:
     from . import contraction, curves
 
@@ -273,7 +282,7 @@ def _load_scenarios(path: str):
         raise InputFileError(f"{path}: {exc}") from exc
 
 
-@_command("cover invariants from a scenario file", _SCENARIO)
+@_command("cover invariants from a scenario file", _SCENARIO, formats=_TEXT_JSON_CSV)
 def _cmd_cover(args) -> int:
     from . import covers
 
@@ -312,7 +321,8 @@ def _cmd_cover(args) -> int:
 
 @_command("enumerate one of the three solution tables",
           _arg("--case", choices=TABLE_CASES, required=True),
-          _arg("--no-diff", action="store_true", help="suppress the stderr diff against the published rows"))
+          _arg("--no-diff", action="store_true", help="suppress the stderr diff against the published rows"),
+          formats=_TEXT_JSON_CSV)
 def _cmd_tables(args) -> int:
     from . import casework
 
@@ -368,7 +378,7 @@ def _parts_from_file(path: str, cfg) -> list[DivisorClass]:
 @_command("split a class into effective parts", *_class_args("standard"),
           _arg("--parts", default="lines",
                help="parts selector: lines, rulings, or file:<json list of class objects>"),
-          _arg("--max-parts", type=int, default=2))
+          _arg("--max-parts", type=int, default=2), formats=_TEXT_JSON_CSV)
 def _cmd_decompose(args) -> int:
     from . import casework
 
@@ -388,7 +398,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify
 
-    ok, lines = verify.run_verification(verbose=args.verbose or args.format != "text")
+    ok, lines = verify.run_verification(verbose=args.verbose or args.format == "json")
     if args.format == "json":
         _print_json({"ok": ok, "checks": lines})
     else:

@@ -8,7 +8,6 @@ self-contained end-to-end gate.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from importlib import resources
 from typing import Callable
@@ -16,7 +15,6 @@ from typing import Callable
 from . import casework, contraction, covers, curves, symmetry
 from .cohomology import (
     find_all_half_anticanonical_pencils,
-    find_half_anticanonical_pencils,
     h0,
     half_anticanonical_candidates,
     is_effective,
@@ -174,15 +172,8 @@ def _check_effectivity():
 def _check_half_anticanonical_scan():
     candidates = half_anticanonical_candidates()
     complete = find_all_half_anticanonical_pencils()
-    # One scan of the bound-1 box: the strict scan keeps the relaxed classes
-    # whose doubled complement is effective.
-    relaxed = find_half_anticanonical_pencils(1, require_effective_complement=False)
-    strict = [d for d in relaxed if is_effective(MINUS_K - 2 * d, GENERAL)]
-    ok = len(candidates) == 56 and complete == [] and strict == [] and L in relaxed
-    return ok, (
-        f"violations among the {len(candidates)} effective classes of degree <= 2: {len(complete)}; "
-        f"at bound 1: {len(strict)}; relaxed bound-1 scan finds {len(relaxed)} movable classes"
-    )
+    ok = len(candidates) == 56 and complete == []
+    return ok, f"violations among the {len(candidates)} effective classes of degree <= 2: {len(complete)}"
 
 
 PULLBACK_GOLDENS = (
@@ -447,22 +438,26 @@ def _check_decompositions():
 
 
 def _anticanonical_component_candidates() -> list[DivisorClass]:
-    """Effective classes of plane degree 1 or 2, movable against every negative
-    curve, excluding the ten lines: the candidate reduced components of a
-    reducible anticanonical divisor."""
+    """The conics f and their complements -K - f that are nef on the general
+    configuration and are not lines: the candidate reduced components of an
+    anticanonical divisor split into two non-line parts.
+
+    Each part of such a splitting is nef, and a nef class D of degree
+    d = D.(-K) has D^2 >= 0, D^2 = D.K mod 2 (adjunction) and 5 D^2 <= d^2
+    (the Hodge index theorem).  Degree 1 would need D^2 odd and 5 D^2 <= 1,
+    which is impossible; degree 2 forces D^2 = 0, a conic, one of
+    `curves.ruling_candidates`; degree 0 is the class 0.  The degrees of the
+    two parts add up to 5, so every two-part splitting of -K is {f, -K - f}
+    for a conic f.  A nef class of positive degree has h^0 = chi >= 2, which
+    `casework.decompose_class` checks again.
+    """
     walls = curves.negative_curve_classes(GENERAL)
     lines = set(curves.ALL_MINUS_ONE_CLASSES)
-    found = []
-    for a in range(1, 3):
-        for bs in itertools.product(range(-1, a + 1), repeat=4):
-            d = DivisorClass._unchecked((a, *(-b for b in bs)))
-            if d in lines:
-                continue
-            if any(intersect(d, w) < 0 for w in walls):
-                continue
-            if h0(d, GENERAL) >= 1:
-                found.append(d)
-    return found
+    conics = curves.ruling_candidates()
+    return [
+        d for d in (*conics, *(MINUS_K - f for f in conics))
+        if d not in lines and all(intersect(d, w) >= 0 for w in walls)
+    ]
 
 
 def all_checks() -> list[Check]:

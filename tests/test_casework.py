@@ -23,6 +23,7 @@ from delpezzo.lattice import (
     ZERO,
     intersect,
 )
+from delpezzo.verify import _anticanonical_component_candidates
 
 
 # -- independent row re-validation (double-entry bookkeeping) -----------------
@@ -238,6 +239,10 @@ def test_preimage_rejects_positive_integer_target():
 # -- decompositions -------------------------------------------------------------
 
 def component_candidates():
+    """The coefficient box `verify` used to pick the non-line parts of -K
+    from: effective classes a*l - sum(bi*ei) with a in {1, 2} and
+    -1 <= bi <= a that pair >= 0 with every negative curve and are not lines.
+    It is the oracle of `verify._anticanonical_component_candidates`."""
     walls = negative_curve_classes(GENERAL)
     lines = {c.cls for c in minus_one_curves(GENERAL)}
     parts = []
@@ -264,6 +269,20 @@ def test_anticanonical_two_part_decompositions():
         expected.add(tuple(sorted([line, rest])))
     assert shapes == expected
     assert len(splittings) == 5
+
+
+def test_the_conic_pool_is_the_box_pool_of_degree_two_or_three():
+    box = component_candidates()
+    pool = _anticanonical_component_candidates()
+    assert len(box) == 25
+    assert len(pool) == len(set(pool)) == 10
+    assert set(pool) == {d for d in box if intersect(d, MINUS_K) in (2, 3)}
+
+
+def test_the_conic_pool_gives_the_box_pool_splittings():
+    box = decompose_class(MINUS_K, component_candidates(), 2, GENERAL)
+    assert decompose_class(MINUS_K, _anticanonical_component_candidates(), 2, GENERAL) == box
+    assert len(box) == 5
 
 
 def test_pencil_decomposes_into_three_line_pairs():

@@ -338,6 +338,7 @@ USAGE_CASES = [
     *([name, "-h"] for name in cli._COMMANDS),
     ["h0"], ["tables", "--case", "p9"], ["decompose", "--class", "l-e4", "--max-parts", "x"],
     ["h0", "--class", "l", "extra"], ["orbits", "extra"],
+    ["h0", "--class", "l", "--format", "csv"], ["verify", "--format", "csv"],
 ]
 
 QUERIES = [
@@ -382,3 +383,47 @@ def test_queries_match_the_full_parser(capsys, argv):
     expected_code = cli._COMMANDS[argv[0]](namespace)
     expected = capsys.readouterr()
     assert invoke(capsys, *argv) == (expected_code, expected.out, expected.err)
+
+
+# -- --format csv only where a command writes CSV --------------------------------
+
+TEXT_JSON_QUERIES = [
+    ["h0", "--class", "l"],
+    ["pullback", "--config", "P4", "--class", "l-e3-e4"],
+    ["orbits"],
+    ["transport", "--scenario", str(SCENARIOS / "bidouble_burniat.json")],
+    ["verify"],
+]
+
+CSV_QUERIES = [
+    ["curves", "--config", "P4"],
+    ["cover", "--scenario", str(SCENARIOS / "cover_disjoint_minus4_pair.json")],
+    ["tables", "--case", "p4", "--no-diff"],
+    ["decompose", "--class", "l-e4"],
+]
+
+
+def test_every_command_declares_its_formats():
+    declared = {name: formats for name, (_, formats, _) in cli._ARGUMENTS.items()}
+    assert declared == {
+        **{argv[0]: ("json", "text") for argv in TEXT_JSON_QUERIES},
+        **{argv[0]: ("json", "csv", "text") for argv in CSV_QUERIES},
+    }
+
+
+@pytest.mark.parametrize("argv", TEXT_JSON_QUERIES, ids=lambda argv: argv[0])
+def test_csv_on_a_command_that_writes_no_csv_is_a_usage_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--format", "csv")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"delpezzo {argv[0]}: error: argument --format: invalid choice: 'csv'" in err
+
+
+@pytest.mark.parametrize("argv", CSV_QUERIES, ids=lambda argv: argv[0])
+def test_csv_commands_write_csv(capsys, argv):
+    import csv
+
+    code, out, _ = invoke(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    rows = list(csv.reader(out.splitlines()))
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
