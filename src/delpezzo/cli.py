@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 malformed
 input file, 141 standard output closed by its reader before all output was
 written (the status of a process that SIGPIPE ended; no traceback is
 printed).  Class literals use the compact notation ``3l-e1-e2-2e3-e4`` with
-an explicit ``--basis`` flag; every subcommand accepts ``--config
-GENERAL|P1..P6`` and ``--format json|text``.  ``curves``, ``cover``,
+an explicit ``--basis`` flag.  Every subcommand accepts ``--format
+json|text``; ``curves``, ``h0``, ``pullback`` and ``decompose`` also accept
+``--config GENERAL|P1..P6``, and the other commands, which read no
+configuration, reject it as a usage error.  ``curves``, ``cover``,
 ``tables`` and ``decompose`` also accept ``--format csv``; ``h0``,
 ``pullback``, ``orbits``, ``transport`` and ``verify`` write no CSV, and
 ``--format csv`` on them is a usage error.  ``verify --format json`` carries
@@ -51,8 +53,11 @@ def _arg(*flags, **options):
     return flags, options
 
 
+_CONFIG = _arg("--config", default="GENERAL", help="GENERAL or P1..P6 (default GENERAL)")
+
+
 def _class_args(basis: str, help_text: str | None = None):
-    return (_arg("--class", dest="cls", required=True, help=help_text),
+    return (_CONFIG, _arg("--class", dest="cls", required=True, help=help_text),
             _arg("--basis", choices=("standard", "curve"), default=basis))
 
 
@@ -66,7 +71,7 @@ _TEXT_JSON_CSV = ("json", "csv", "text")
 #: Subcommand name -> handler(args) -> exit code, in declaration order.
 _COMMANDS = {}
 #: Subcommand name -> (help line, --format choices, arguments besides
-#: --format and --config).
+#: --format).
 _ARGUMENTS = {}
 
 
@@ -91,7 +96,6 @@ def _build_parser(chosen: str | None = None) -> argparse.ArgumentParser:
         help_text, formats, arguments = _ARGUMENTS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--config", default="GENERAL", help="GENERAL or P1..P6 (default GENERAL)")
         for flags, options in arguments:
             p.add_argument(*flags, **options)
     sub.choices = _ARGUMENTS  # the usage line names every command, built or not
@@ -125,7 +129,7 @@ def _print_rows(rows: list[dict], fmt: str, text_renderer=None) -> None:
                 print("  ".join(f"{k}={v}" for k, v in row.items()))
 
 
-@_command("negative-curve inventory and incidence matrix", formats=_TEXT_JSON_CSV)
+@_command("negative-curve inventory and incidence matrix", _CONFIG, formats=_TEXT_JSON_CSV)
 def _cmd_curves(args) -> int:
     from . import contraction, curves
 

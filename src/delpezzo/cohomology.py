@@ -15,7 +15,6 @@ same (wall, multiple) steps as a loop over `DivisorClass` arithmetic would.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .lattice import (
@@ -26,7 +25,6 @@ from .lattice import (
     InternalFaultError,
     SurfaceConfiguration,
     _Record,
-    anticanonical_class,
     intersect,
     riemann_roch_chi,
 )
@@ -147,25 +145,18 @@ def find_all_half_anticanonical_pencils() -> list[DivisorClass]:
     ]
 
 
-def find_half_anticanonical_pencils(coefficient_bound: int,
-                                    require_effective_complement: bool = True) -> list[DivisorClass]:
-    """Scan the general configuration for classes d with h^0(d) > 1 whose double
-    is dominated by the anticanonical class (-K - 2d effective).
+def find_half_anticanonical_pencils(coefficient_bound: int) -> list[DivisorClass]:
+    """The classes of `find_all_half_anticanonical_pencils` with every
+    |coefficient| <= bound, in coefficient order; expected empty.
 
-    An exhaustive scan over |coefficients| <= bound; expected empty.  With
-    `require_effective_complement` off it lists every d with h^0(d) > 1 in
-    the box.  `find_all_half_anticanonical_pencils` decides the statement
-    without a bound.
+    No box scan is needed: -K is nef, so a d with -K - 2d effective has
+    0 <= (-K).(-K - 2d) = 5 - 2 d.(-K), hence d.(-K) <= 2, and every such d
+    is among `half_anticanonical_candidates`.
     """
     if coefficient_bound < 1:
         raise ValueError("coefficient bound must be positive")
-    minus_k = anticanonical_class(GENERAL)
-    violations = []
-    span = range(-coefficient_bound, coefficient_bound + 1)
-    for coeffs in itertools.product(span, repeat=5):
-        d = DivisorClass._unchecked(coeffs)
-        if h0(d, GENERAL) <= 1:
-            continue
-        if not require_effective_complement or is_effective(minus_k - 2 * d, GENERAL):
-            violations.append(d)
-    return violations
+    return sorted(
+        (d for d in find_all_half_anticanonical_pencils()
+         if max(map(abs, d.coeffs)) <= coefficient_bound),
+        key=lambda d: d.coeffs,
+    )

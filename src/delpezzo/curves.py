@@ -84,11 +84,14 @@ def minus_two_gram_adjugate(cfg: SurfaceConfiguration) -> tuple[Matrix, int]:
 
 def component_labels(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[str, ...]:
     """ADE labels of the connected components of a negative definite
-    (-2)-graph on nodes 0..n-1: a chain of k curves is A_k; a branched
-    component of k curves is D_k when the arms from its branch node have
-    lengths (1, 1, k-3), and E_k when they have lengths (1, 2, k-4) with
-    k <= 8.  Any other component (a cycle, a node of degree 4 or more, two
-    branch nodes, other arms) is not a Dynkin diagram and raises ValueError."""
+    (-2)-graph on nodes 0..n-1.
+
+    A connected (-2)-graph is a Dynkin diagram exactly when -G is positive
+    definite (Bourbaki, Lie Groups and Lie Algebras, VI 4), that is, by
+    Sylvester's criterion, when every leading principal minor of -G is
+    positive.  The last minor then names the type: det A_k = k + 1,
+    det D_k = 4 and det E_k = 9 - k (A3 also has det 4, so A is tested
+    first).  Any other component raises ValueError."""
     adjacency: list[set[int]] = [set() for _ in range(n)]
     for i, j in edges:
         adjacency[i].add(j)
@@ -103,26 +106,13 @@ def component_labels(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[str, .
                 unseen.remove(other)
                 component.add(other)
                 stack.append(other)
-        degrees = sorted(len(adjacency[i]) for i in component)
-        # A connected graph on m nodes is a tree exactly when it has m - 1
-        # edges; a Dynkin tree has at most one branch node, of degree 3.
-        dynkin = sum(degrees) == 2 * len(component) - 2 and degrees[-1] <= 3 and degrees[-2:] != [3, 3]
-        kind = "A"
-        if dynkin and degrees[-1] == 3:
-            branch = next(i for i in component if len(adjacency[i]) == 3)
-            arms = []
-            for node in adjacency[branch]:
-                previous, length = branch, 1
-                while len(adjacency[node]) == 2:
-                    previous, node = node, min(adjacency[node] - {previous})
-                    length += 1
-                arms.append(length)
-            a, b, c = sorted(arms)
-            kind = "D" if b == 1 else "E"
-            dynkin = a == 1 and (b == 1 or (b == 2 and c <= 4))
-        if not dynkin:
-            raise ValueError(f"not a Dynkin diagram: the component on nodes {sorted(component)} of {edges}")
-        labels.append(f"{kind}{len(component)}")
+        nodes = sorted(component)
+        minors, _ = bareiss([[2 if i == j else -1 if j in adjacency[i] else 0 for j in nodes] for i in nodes])
+        if min(minors) <= 0:
+            raise ValueError(f"not a Dynkin diagram: the component on nodes {nodes} of {edges}")
+        k, det = len(nodes), minors[-1]
+        kind = "A" if det == k + 1 else "D" if det == 4 else "E"
+        labels.append(f"{kind}{k}")
     return tuple(sorted(labels))
 
 

@@ -170,8 +170,9 @@ class QDivisorClass(_FrozenRecord):
 
         if len(coeffs) != RANK:
             raise ValueError(f"need {RANK} coefficients, got {len(coeffs)}")
-        if any(isinstance(c, float) for c in coeffs):
-            raise TypeError("coefficients must be exact integers or Fractions, not floats")
+        for c in coeffs:
+            if type(c) is not Fraction and (isinstance(c, bool) or not isinstance(c, (int, Fraction))):
+                raise TypeError(f"expected exact integer/rational coefficient, got {c!r}")
         object.__setattr__(self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
 
     def __add__(self, other):

@@ -339,6 +339,7 @@ USAGE_CASES = [
     ["h0"], ["tables", "--case", "p9"], ["decompose", "--class", "l-e4", "--max-parts", "x"],
     ["h0", "--class", "l", "extra"], ["orbits", "extra"],
     ["h0", "--class", "l", "--format", "csv"], ["verify", "--format", "csv"],
+    ["verify", "--config", "P4"], ["tables", "--case", "p4", "--config", "P4"],
 ]
 
 QUERIES = [
@@ -427,3 +428,19 @@ def test_csv_commands_write_csv(capsys, argv):
     assert code == EXIT_OK
     rows = list(csv.reader(out.splitlines()))
     assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+
+
+# -- --config only where a command reads a configuration -------------------------
+
+CONFIG_COMMANDS = ("curves", "h0", "pullback", "decompose")
+
+
+@pytest.mark.parametrize("argv", TEXT_JSON_QUERIES + CSV_QUERIES, ids=lambda argv: argv[0])
+def test_only_the_commands_that_read_a_configuration_take_config(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--config", "P4")
+    if argv[0] in CONFIG_COMMANDS:
+        assert code == EXIT_OK
+    else:
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "error: unrecognized arguments: --config P4" in err

@@ -302,9 +302,27 @@ def test_h0_matches_plane_sections_oracle(a, bs):
 
 # -- exhaustive scan ---------------------------------------------------------
 
+def box_scan(bound, require_effective_complement=True):
+    """The former `find_half_anticanonical_pencils`, kept as an oracle: every
+    d with |coefficients| <= bound and h0(d) > 1, in box order, and with the
+    flag only those with -K - 2d effective."""
+    found = []
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=5):
+        d = D(*coeffs)
+        if h0(d, GENERAL) > 1 and (not require_effective_complement
+                                   or is_effective(MINUS_K - 2 * d, GENERAL)):
+            found.append(d)
+    return found
+
+
 def test_no_movable_class_with_effective_doubled_complement():
     assert find_half_anticanonical_pencils(1) == []
     assert find_half_anticanonical_pencils(3) == []
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_scan_is_the_strict_box_scan(bound):
+    assert find_half_anticanonical_pencils(bound) == box_scan(bound)
 
 
 def test_candidates_are_the_effective_classes_of_degree_at_most_two():
@@ -324,19 +342,22 @@ def test_complete_half_anticanonical_check_finds_nothing():
 
 def test_relaxed_scan_is_nonempty():
     # `verify` used to print this count next to the complete check.
-    found = find_half_anticanonical_pencils(1, require_effective_complement=False)
+    found = box_scan(1, require_effective_complement=False)
     assert len(found) == 48
     assert L in found
 
 
 @pytest.mark.parametrize("bound", [1, 2])
 def test_strict_scan_is_the_relaxed_scan_filtered(bound):
-    """The strict scan keeps exactly the relaxed classes whose doubled
-    complement is effective, in scan order."""
-    relaxed = find_half_anticanonical_pencils(bound, require_effective_complement=False)
+    """The strict box scan keeps exactly the relaxed classes whose doubled
+    complement is effective, in scan order, and the relaxed classes of
+    degree at most 2 are candidates."""
+    relaxed = box_scan(bound, require_effective_complement=False)
     derived = [d for d in relaxed if is_effective(MINUS_K - 2 * d, GENERAL)]
-    assert find_half_anticanonical_pencils(bound) == derived
+    assert box_scan(bound) == derived
     assert len(relaxed) > 0
+    candidates = set(half_anticanonical_candidates())
+    assert all(d in candidates for d in relaxed if intersect(d, MINUS_K) <= 2)
 
 
 def test_scan_rejects_bad_bound():

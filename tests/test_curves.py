@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delpezzo.casework import _ade_patterns
 from delpezzo.cohomology import h0_with_trace
@@ -244,6 +245,55 @@ def test_negative_curve_kind_validation():
         NegativeCurve(L, CurveKind.MINUS_ONE)
 
 
+def arm_walk_labels(n, edges):
+    """The former `component_labels`, kept as an oracle: a chain of k curves
+    is A_k; a branched component of k curves is D_k when the arms from its
+    branch node have lengths (1, 1, k-3), and E_k when they have lengths
+    (1, 2, k-4) with k <= 8; anything else raises ValueError."""
+    adjacency = [set() for _ in range(n)]
+    for i, j in edges:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    labels = []
+    unseen = set(range(n))
+    while unseen:
+        stack = [unseen.pop()]
+        component = set(stack)
+        while stack:
+            for other in adjacency[stack.pop()] & unseen:
+                unseen.remove(other)
+                component.add(other)
+                stack.append(other)
+        degrees = sorted(len(adjacency[i]) for i in component)
+        # A connected graph on m nodes is a tree exactly when it has m - 1
+        # edges; a Dynkin tree has at most one branch node, of degree 3.
+        dynkin = sum(degrees) == 2 * len(component) - 2 and degrees[-1] <= 3 and degrees[-2:] != [3, 3]
+        kind = "A"
+        if dynkin and degrees[-1] == 3:
+            branch = next(i for i in component if len(adjacency[i]) == 3)
+            arms = []
+            for node in adjacency[branch]:
+                previous, length = branch, 1
+                while len(adjacency[node]) == 2:
+                    previous, node = node, min(adjacency[node] - {previous})
+                    length += 1
+                arms.append(length)
+            a, b, c = sorted(arms)
+            kind = "D" if b == 1 else "E"
+            dynkin = a == 1 and (b == 1 or (b == 2 and c <= 4))
+        if not dynkin:
+            raise ValueError(f"not a Dynkin diagram: the component on nodes {sorted(component)} of {edges}")
+        labels.append(f"{kind}{len(component)}")
+    return tuple(sorted(labels))
+
+
+def labels_or_error(labeller, n, edges):
+    try:
+        return labeller(n, edges)
+    except ValueError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("n, edges, expected", [
     (0, (), ()),
     (1, (), ("A1",)),
@@ -267,7 +317,7 @@ def test_component_labels_name_every_ade_pattern(n):
     patterns = _ade_patterns(n)
     assert patterns
     for labels, edges, _, _ in patterns:
-        assert component_labels(n, edges) == labels
+        assert component_labels(n, edges) == arm_walk_labels(n, edges) == labels
 
 
 @pytest.mark.parametrize("n, edges", [
@@ -282,3 +332,24 @@ def test_component_labels_name_every_ade_pattern(n):
 def test_component_labels_reject_non_dynkin_components(n, edges):
     with pytest.raises(ValueError, match="not a Dynkin diagram"):
         component_labels(n, edges)
+    assert labels_or_error(component_labels, n, edges) == labels_or_error(arm_walk_labels, n, edges)
+
+
+@st.composite
+def small_graphs(draw):
+    """A random forest on at most 9 nodes (node i > 0 joins an earlier node or
+    starts a new tree) plus up to two random edges."""
+    n = draw(st.integers(0, 9))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n) if draw(st.booleans())}
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs:
+        edges |= draw(st.sets(st.sampled_from(pairs), max_size=2))
+    return n, tuple(sorted(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_component_labels_agree_with_the_arm_walk(graph):
+    """Both classifiers raise the same error or return the same labels."""
+    n, edges = graph
+    assert labels_or_error(component_labels, n, edges) == labels_or_error(arm_walk_labels, n, edges)

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -302,8 +303,13 @@ def test_json_rejects_booleans():
 
 
 def test_q_class_rejects_floats():
-    with pytest.raises(TypeError):
-        QDivisorClass((1.5, 0, 0, 0, 0))
+    """Only ints and Fractions are exact coefficients, as for `DivisorClass`:
+    a string is not parsed, a bool is not read as 1, a Decimal is refused."""
+    for bad in (1.5, "1/2", True, Decimal("0.5")):
+        with pytest.raises(TypeError):
+            QDivisorClass((bad, 0, 0, 0, 0))
+        with pytest.raises(TypeError):
+            DivisorClass((bad, 0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("coeffs", ["12345", "00010", 5, None, {"0": 1}, (1, 0, 0, 0, 0)])
