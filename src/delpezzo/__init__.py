@@ -34,7 +34,6 @@ _EXPORTS = {
     "curves": (
         "NegativeCurve",
         "incidence_graph",
-        "is_irreducible",
         "minus_one_curves",
         "minus_two_curves",
         "ruling_classes",

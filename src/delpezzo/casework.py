@@ -27,7 +27,7 @@ from operator import ge, gt, le, lt, mul
 
 from .cohomology import h0
 from .exact import Matrix, bareiss, mat_vec
-from .lattice import DivisorClass, SurfaceConfiguration, _FrozenRecord, _Record, intersect
+from .lattice import DivisorClass, SurfaceConfiguration, _FrozenRecord, _Record
 
 TABLE_CASES = ("p4", "p5", "p6")
 
@@ -37,9 +37,6 @@ class SolutionRow(_FrozenRecord):
     Rows order by their field values, in field order."""
 
     __slots__ = ("z_coeffs", "l_sq", "l_dot_e", "e_sq", "e_dot_z")
-
-    def __init__(self, z_coeffs: tuple[int, ...], l_sq: int, l_dot_e: int, e_sq: int, e_dot_z: int):
-        self._init(z_coeffs, l_sq, l_dot_e, e_sq, e_dot_z)
 
     __lt__, __le__, __gt__, __ge__ = (_FrozenRecord._compare(op) for op in (lt, le, gt, ge))
 
@@ -66,9 +63,6 @@ class ConstraintSystem(_FrozenRecord):
     """
 
     __slots__ = ("case", "chain_length", "strict_l_dot_z", "tie_break")
-
-    def __init__(self, case: str, chain_length: int, strict_l_dot_z: bool, tie_break: str):
-        self._init(case, chain_length, strict_l_dot_z, tie_break)
 
     L_SQ_RANGE = (0, 2)
     E_SQ_RANGE = (-2, -4, -6)
@@ -231,18 +225,12 @@ def load_printed_table(case: str) -> tuple[SolutionRow, ...]:
 class PublishedOnlyRow(_FrozenRecord):
     __slots__ = ("row", "violated")
 
-    def __init__(self, row: SolutionRow, violated: tuple[str, ...]):
-        self._init(row, violated)
-
 
 class CorrectedRow(_FrozenRecord):
     """A printed row whose unknowns match an enumerated row but whose derived
     E.Z column disagrees with the identity E.Z = 4 - E^2 - 2*L.E."""
 
     __slots__ = ("printed", "enumerated")
-
-    def __init__(self, printed: SolutionRow, enumerated: SolutionRow):
-        self._init(printed, enumerated)
 
 
 class TableDiff(_Record):
@@ -327,11 +315,6 @@ class FeasibleConfiguration(_FrozenRecord):
 
     __slots__ = ("components", "edges", "curve_count", "witness_pairings", "witness_e_sq",
                  "witness_coefficients")
-
-    def __init__(self, components: tuple[str, ...], edges: tuple[tuple[int, int], ...], curve_count: int,
-                 witness_pairings: tuple[int, ...], witness_e_sq: int,
-                 witness_coefficients: tuple[Fraction, ...]):
-        self._init(components, edges, curve_count, witness_pairings, witness_e_sq, witness_coefficients)
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,6 @@ from fractions import Fraction
 from .curves import component_labels, minus_two_curves, minus_two_gram_adjugate
 from .exact import mat_vec
 from .lattice import (
-    DivisorClass,
     QDivisorClass,
     SurfaceConfiguration,
     _FrozenRecord,
@@ -31,9 +30,6 @@ class SigmaClass(_FrozenRecord):
     """
 
     __slots__ = ("rep", "cfg")
-
-    def __init__(self, rep: DivisorClass, cfg: SurfaceConfiguration):
-        self._init(rep, cfg)
 
     def __str__(self) -> str:
         return f"push({self.rep})@{self.cfg.name}"

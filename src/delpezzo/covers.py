@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .cohomology import h0
 from .lattice import (
-    AnyClass,
     DivisorClass,
     SurfaceConfiguration,
     ZERO,
@@ -45,14 +44,11 @@ class DoubleCoverScenario(_FrozenRecord):
 
     def __init__(self, chi_base: int, m_dot_k: Rational, m_sq: Rational, k_plus_m_sq: Rational,
                  pg_bound_class: tuple[DivisorClass, SurfaceConfiguration] | None = None, label: str = ""):
-        self._init(chi_base, m_dot_k, m_sq, k_plus_m_sq, pg_bound_class, label)
+        super().__init__(chi_base, m_dot_k, m_sq, k_plus_m_sq, pg_bound_class, label)
 
 
 class CoverInvariants(_FrozenRecord):
     __slots__ = ("chi", "k_sq", "pg_lower")
-
-    def __init__(self, chi: Rational, k_sq: Rational, pg_lower: int):
-        self._init(chi, k_sq, pg_lower)
 
     @property
     def chi_is_integral(self) -> bool:
@@ -100,10 +96,6 @@ class BidoubleData(_FrozenRecord):
 
     __slots__ = ("d1", "d2", "d3", "cfg")
 
-    def __init__(self, d1: tuple[DivisorClass, ...], d2: tuple[DivisorClass, ...],
-                 d3: tuple[DivisorClass, ...], cfg: SurfaceConfiguration):
-        self._init(d1, d2, d3, cfg)
-
     @property
     def branch_classes(self) -> tuple[DivisorClass, DivisorClass, DivisorClass]:
         return tuple(sum(part, ZERO) for part in (self.d1, self.d2, self.d3))
@@ -123,9 +115,6 @@ def _half(d: DivisorClass, which: tuple[int, int]) -> DivisorClass:
 
 class BidoubleInvariants(_FrozenRecord):
     __slots__ = ("pg", "q", "k_sq", "bicanonical_is_cover")
-
-    def __init__(self, pg: int, q: int, k_sq: int, bicanonical_is_cover: bool):
-        self._init(pg, q, k_sq, bicanonical_is_cover)
 
 
 def bidouble_invariants(b: BidoubleData) -> BidoubleInvariants:
@@ -156,9 +145,6 @@ def bidouble_invariants(b: BidoubleData) -> BidoubleInvariants:
 
 class SurfaceNumerology(_FrozenRecord):
     __slots__ = ("euler", "h2", "max_disjoint_minus4")
-
-    def __init__(self, euler: int, h2: int, max_disjoint_minus4: int):
-        self._init(euler, h2, max_disjoint_minus4)
 
 
 def surface_numerology(chi: int, k_sq: int) -> SurfaceNumerology:

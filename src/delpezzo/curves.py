@@ -41,7 +41,7 @@ class NegativeCurve(_FrozenRecord):
         expected = (-1, -1) if kind is CurveKind.MINUS_ONE else (-2, 0)
         if (sq, k) != expected:
             raise ValueError(f"{cls} has (C^2, C.K) = {(sq, k)}, not {expected}")
-        self._init(cls, kind)
+        super().__init__(cls, kind)
 
 
 #: The ten (-1)-classes of the lattice: E1..E4 and L - Ei - Ej.
@@ -134,20 +134,6 @@ def negative_curves(cfg: SurfaceConfiguration) -> tuple[NegativeCurve, ...]:
 
 def negative_curve_classes(cfg: SurfaceConfiguration) -> tuple[DivisorClass, ...]:
     return tuple(c.cls for c in negative_curves(cfg))
-
-
-def is_irreducible(d: DivisorClass, cfg: SurfaceConfiguration) -> bool:
-    """Mori-cone test for a (-1)- or (-2)-class: pair >= 0 with every other
-    irreducible negative curve of the configuration."""
-    sq = intersect(d, d)
-    k = intersect(d, K)
-    if (sq, k) not in ((-1, -1), (-2, 0)):
-        raise ValueError(f"{d} is not a (-1)- or (-2)-type class: (C^2, C.K) = {(sq, k)}")
-    return all(
-        intersect(d, c.cls) >= 0
-        for c in negative_curves(cfg)
-        if c.cls != d
-    )
 
 
 def incidence_graph(cfg: SurfaceConfiguration) -> tuple[tuple[DivisorClass, ...], tuple[tuple[int, ...], ...]]:

@@ -75,6 +75,9 @@ class _Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+_setattr = object.__setattr__  # bound once for the per-field loop of `_FrozenRecord.__init__`
+
+
 class _FrozenRecord(_Record):
     """An immutable record, hashed like a frozen dataclass: by the tuple of
     its field values."""
@@ -90,10 +93,18 @@ class _FrozenRecord(_Record):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _init(self, *values) -> None:
-        """Set the fields in slot order, past the assignment guard."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    def __init__(self, *values, **fields):
+        """Set the fields past the assignment guard.  As to a dataclass
+        constructor, they are given in slot order, by name or both; a
+        missing, unknown, repeated or extra field raises TypeError."""
+        names = self.__slots__
+        if fields and fields.keys() == set(names[len(values):]):
+            values += tuple(fields.pop(name) for name in names[len(values):])
+        if fields or len(values) != len(names):
+            raise TypeError(f"{self.__class__.__qualname__} takes the fields {names}, "
+                            f"got {len(values)} positional and the names {tuple(fields)}")
+        for name, value in zip(names, values):
+            _setattr(self, name, value)
 
     @staticmethod
     def _compare(op):
@@ -181,8 +192,6 @@ class QDivisorClass(_FrozenRecord):
             return QDivisorClass(tuple(a + b for a, b in zip(self.coeffs, oc)))
         return NotImplemented
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self + (-other)
 
@@ -245,9 +254,6 @@ class SurfaceConfiguration(_FrozenRecord):
     """
 
     __slots__ = ("name", "collinear", "chains")
-
-    def __init__(self, name: str, collinear: frozenset[int], chains: tuple[tuple[int, ...], ...]):
-        self._init(name, collinear, chains)
 
     @property
     def is_general(self) -> bool:

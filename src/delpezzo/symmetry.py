@@ -56,7 +56,7 @@ class LatticeAutomorphism(_FrozenRecord):
         if (len(matrix) != 5 or any(len(row) != 5 for row in matrix)
                 or {type(x) for row in matrix for x in row} != {int}):
             raise ValueError(f"need a 5x5 integer matrix, got {matrix}")
-        self._init(matrix, name)
+        super().__init__(matrix, name)
         if not self.preserves_gram():
             raise ValueError(f"matrix does not preserve the intersection form: {matrix}")
         if mat_vec(matrix, K.coeffs) != K.coeffs:
@@ -117,19 +117,16 @@ def _s5_automorphism(s: tuple[int, int, int, int, int], name: str = "") -> Latti
 IDENTITY = _s5_automorphism((1, 2, 3, 4, 5), name="id")
 
 
-def perm_automorphism(s: dict[int, int] | tuple[int, int, int, int]) -> LatticeAutomorphism:
+def perm_automorphism(s: tuple[int, int, int, int]) -> LatticeAutomorphism:
     """Automorphism sending Ei -> E_{s(i)} and fixing L: the S5 element that
     extends s by fixing 5.
 
-    `s` is a permutation of {1,2,3,4}, given as a mapping or as the one-line
-    tuple (s(1), s(2), s(3), s(4)).
+    `s` is a permutation of {1,2,3,4}, given as the one-line tuple
+    (s(1), s(2), s(3), s(4)).
     """
-    if not isinstance(s, dict):
-        s = {i + 1: v for i, v in enumerate(s)}
-    if sorted(s) != [1, 2, 3, 4] or sorted(s.values()) != [1, 2, 3, 4]:
+    if not isinstance(s, tuple) or sorted(s) != [1, 2, 3, 4]:
         raise ValueError(f"not a permutation of 1..4: {s}")
-    images = tuple(s[i] for i in (1, 2, 3, 4))
-    return _s5_automorphism((*images, 5), name=f"perm:{''.join(map(str, images))}")
+    return _s5_automorphism((*s, 5), name=f"perm:{''.join(map(str, s))}")
 
 
 def cremona_automorphism(base: set[int] | frozenset[int] | tuple[int, ...]) -> LatticeAutomorphism:
@@ -196,10 +193,6 @@ def line_orbits(group: tuple[LatticeAutomorphism, ...] | None = None) -> list[se
 
 class LineTransitivityReport(_FrozenRecord):
     __slots__ = ("transitive_on_lines", "stabilizer_transitive_on_disjoint", "transitive_on_disjoint_pairs")
-
-    def __init__(self, transitive_on_lines: bool, stabilizer_transitive_on_disjoint: bool,
-                 transitive_on_disjoint_pairs: bool):
-        self._init(transitive_on_lines, stabilizer_transitive_on_disjoint, transitive_on_disjoint_pairs)
 
     def all_hold(self) -> bool:
         return (

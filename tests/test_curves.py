@@ -10,7 +10,6 @@ from delpezzo.curves import (
     CurveKind,
     component_labels,
     incidence_graph,
-    is_irreducible,
     minus_one_curves,
     minus_two_curves,
     negative_curves,
@@ -104,6 +103,20 @@ def test_negative_curve_classes_span_the_lattice(name):
     vectors = {c.coeffs for c in curves}
     assert len(vectors) == len(curves)
     assert len(curves) >= 5
+
+
+def is_irreducible(d: DivisorClass, cfg) -> bool:
+    """Mori-cone test for a (-1)- or (-2)-class: pair >= 0 with every other
+    irreducible negative curve of the configuration."""
+    sq = intersect(d, d)
+    k = intersect(d, K)
+    if (sq, k) not in ((-1, -1), (-2, 0)):
+        raise ValueError(f"{d} is not a (-1)- or (-2)-type class: (C^2, C.K) = {(sq, k)}")
+    return all(
+        intersect(d, c.cls) >= 0
+        for c in negative_curves(cfg)
+        if c.cls != d
+    )
 
 
 def lattice_roots() -> tuple[DivisorClass, ...]:

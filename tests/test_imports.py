@@ -25,8 +25,7 @@ EXPORTS = {
         "riemann_roch_chi", "to_curve_basis",
     ],
     "curves": [
-        "NegativeCurve", "incidence_graph", "is_irreducible", "minus_one_curves", "minus_two_curves",
-        "ruling_classes",
+        "NegativeCurve", "incidence_graph", "minus_one_curves", "minus_two_curves", "ruling_classes",
     ],
     "cohomology": ["h0", "h0_with_trace", "is_effective", "find_half_anticanonical_pencils"],
     "contraction": ["SigmaClass", "mumford_pullback", "sigma_intersect", "singularity_types"],
@@ -48,8 +47,8 @@ SUBMODULES = ["casework", "cli", "cohomology", "contraction", "covers", "curves"
               "symmetry", "verify"]
 
 
-def test_there_are_51_exported_names():
-    assert len(NAMES) == len({name for _, name in NAMES}) == 51
+def test_there_are_50_exported_names():
+    assert len(NAMES) == len({name for _, name in NAMES}) == 50
     assert sorted(delpezzo.__all__) == sorted(name for _, name in NAMES)
 
 
@@ -183,6 +182,39 @@ def test_package_imports_only_the_standard_library(path):
             continue
         for name in names:
             assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, node.lineno, name)
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """The names a module reads, in code and in annotations, quoted ones
+    included."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        annotations = [getattr(node, key, None) for key in ("annotation", "returns")]
+        for annotation in filter(None, annotations):
+            for text in ast.walk(annotation):
+                if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                    read |= names_read(ast.parse(text.value, mode="eval"))
+    return read
+
+
+PACKAGE = Path(delpezzo.__file__).parent
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_every_imported_name_is_read(path):
+    """Each name an import binds is read somewhere in its module; a
+    `from __future__` import binds no name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = names_read(tree)
+    unread = {name: line for name, line in bound.items() if name not in read}
+    assert not unread, (path.name, unread)
 
 
 def test_verify_import_loads_no_dataclasses():

@@ -2,7 +2,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from delpezzo.lattice import (
     CONFIGURATIONS,
@@ -90,6 +90,19 @@ def as_integral(q: QDivisorClass) -> DivisorClass:
     if any(a.denominator != 1 for a in q.coeffs):
         raise ValueError(f"{q} is not an integral class")
     return DivisorClass(tuple(int(a) for a in q.coeffs))
+
+
+@settings(max_examples=25)
+@given(coeffs5, q_coeffs5)
+def test_mixed_sums_are_q_classes_in_either_order(a, qa):
+    """D + Q and Q + D give the same Q-class, and `sum` over Q-classes needs
+    a start class, since 0 + Q is not a class."""
+    d, q = D(*a), QDivisorClass(qa)
+    expected = QDivisorClass(tuple(x + y for x, y in zip(a, qa)))
+    assert d + q == q + d == expected
+    with pytest.raises(TypeError):
+        sum([q, q])
+    assert sum([q, q], ZERO) == q + q
 
 
 def test_q_classes_embed_losslessly():

@@ -236,6 +236,24 @@ def pair(real, twin, args):
     return real(*args), twin(*args)
 
 
+def test_only_types_that_check_or_default_a_field_write_a_constructor():
+    """The others take the one constructor of `_FrozenRecord`."""
+    assert {real.__name__ for real, _, _ in TYPES if "__init__" in vars(real)} == {
+        "DivisorClass", "QDivisorClass", "NegativeCurve", "LatticeAutomorphism", "DoubleCoverScenario",
+        "ReductionTrace", "TableDiff",
+    }
+    assert not hasattr(lattice._FrozenRecord, "_init")
+
+
+def built(cls, names, values, fields):
+    """The `names` fields of `cls(*values, **fields)`, or TypeError."""
+    try:
+        obj = cls(*values, **fields)
+    except TypeError:
+        return TypeError
+    return tuple(getattr(obj, name) for name in names)
+
+
 def lookalike(record):
     """An instance of another record class with the same fields and values."""
     cls = type(record.__class__.__name__, (record.__class__.__mro__[1],), {"__slots__": record.__slots__})
@@ -261,6 +279,35 @@ def test_equality_matches_the_dataclass(real, twin, args, data):
         for other in (y, lookalike(ra), a, None, object()):
             assert x.__eq__(other) is NotImplemented
             assert x != other and not x == other
+
+
+@pytest.mark.parametrize("real, twin, args", TYPES, ids=IDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_constructors_take_fields_like_the_dataclass(real, twin, args, data):
+    """By position, by name or both the fields come out as given; a missing,
+    unknown, repeated or extra field raises TypeError for both types."""
+    values = data.draw(args)
+    names = real.__slots__
+    split = data.draw(st.integers(0, len(names)))
+    calls = {
+        "position": (values, {}),
+        "name": ((), dict(zip(names, values))),
+        "both": (values[:split], dict(zip(names[split:], values[split:]))),
+        "missing": ((), dict(zip(names[1:], values[1:]))),
+        "short": (values[:-1], {}),  # fine where the last field has a default
+        "unknown": (values, {"no_such_field": None}),
+        "repeated": (values, {names[0]: values[0]}),
+        "extra": ((*values, None), {}),
+    }
+    outcomes = {case: built(real, names, *call) for case, call in calls.items()}
+    assert outcomes == {case: built(twin, names, *call) for case, call in calls.items()}
+    assert all(outcomes[case] is TypeError for case in ("missing", "unknown", "repeated", "extra"))
+    assert outcomes["position"] == tuple(values)
+    if real.__init__ is lattice._FrozenRecord.__init__:
+        with pytest.raises(TypeError) as raised:
+            real(*values, no_such_field=None)
+        assert real.__name__ in str(raised.value) and all(name in str(raised.value) for name in names)
 
 
 @pytest.mark.parametrize("real, twin, args", TYPES, ids=IDS)

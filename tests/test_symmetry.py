@@ -81,6 +81,14 @@ def test_named_automorphisms_match_the_column_image_construction():
     assert IDENTITY.matrix == columns_to_matrix([L, *E])
 
 
+@pytest.mark.parametrize("s", [(1, 2, 3), (1, 1, 2, 3), (1, 2, 3, 5), (0, 1, 2, 3, 4),
+                               {1: 2, 2: 1, 3: 3, 4: 4}])
+def test_perm_automorphism_takes_only_a_one_line_permutation(s):
+    with pytest.raises(ValueError) as raised:
+        perm_automorphism(s)
+    assert str(raised.value) == f"not a permutation of 1..4: {s}"
+
+
 def test_every_group_element_matches_the_column_image_construction():
     expected = tuple(image_s5_automorphism(s) for s in itertools.permutations(range(1, 6)))
     assert generate_group() == expected
