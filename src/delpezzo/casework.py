@@ -117,13 +117,6 @@ class ConstraintSystem(_FrozenRecord):
             return z[1] <= z[0] <= 2 * z[1]
         return z[0] >= z[-1]
 
-    def min_bound_holds(self, z: tuple[int, ...]) -> bool:
-        if self.case == "p4":
-            return min(z) <= 8
-        if self.case == "p5":
-            return min(z) <= 10
-        return True
-
     def violations(self, row: SolutionRow) -> list[str]:
         """Names of the constraints a row fails; empty means admissible."""
         out = []
@@ -152,8 +145,6 @@ class ConstraintSystem(_FrozenRecord):
             out.append("Z.theta_i <= 0 chain inequalities")
         if not self.tie_break_holds(row.z_coeffs):
             out.append(self.tie_break)
-        if not self.min_bound_holds(row.z_coeffs):
-            out.append("min coefficient bound")
         return out
 
 
@@ -172,19 +163,18 @@ def enumerate_table(case: str) -> tuple[SolutionRow, ...]:
     construction.  Chain coefficient i runs over [1, cap_i] with the caps of
     `ConstraintSystem.coefficient_caps`, since every row lies in the
     ellipsoid of the positive definite chain form (4 for p4, 5 for p5 and
-    p6), and L.E over [0, 8], since L.Z = 8 - 2*L^2 - L.E >= 0.  One pass
-    over the box keeps the chain vectors that pass the tie-break, minimum
-    and chain inequalities, bucketed by their doubled chain-quadratic value;
-    each (L^2, L.E, E^2) cell then reads the bucket of its doubled
-    right-hand side.
+    p6), and L.E over [0, 8], since L.Z = 8 - 2*L^2 - L.E >= 0.  The caps
+    also settle the published minimum-coefficient bounds (min z <= 8 for p4,
+    <= 10 for p5), so no rule checks them.  One pass over the box keeps the
+    chain vectors that pass the tie-break and chain inequalities, bucketed
+    by their doubled chain-quadratic value; each (L^2, L.E, E^2) cell then
+    reads the bucket of its doubled right-hand side.
     """
     system = CONSTRAINT_SYSTEMS[case]
     ranges = [range(1, cap + 1) for cap in system.coefficient_caps()]
     by_quadratic: dict[int, list[tuple[int, ...]]] = {}
     for z in itertools.product(*ranges):
         if not system.tie_break_holds(z):
-            continue
-        if not system.min_bound_holds(z):
             continue
         if not system.chain_inequalities_hold(z):
             continue

@@ -140,8 +140,6 @@ class DivisorClass(_FrozenRecord):
     def __add__(self, other):
         if isinstance(other, DivisorClass):
             return DivisorClass._unchecked(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        if isinstance(other, QDivisorClass):
-            return self.as_q() + other
         return NotImplemented
 
     def __sub__(self, other):
@@ -153,16 +151,9 @@ class DivisorClass(_FrozenRecord):
     def __rmul__(self, n):
         if isinstance(n, int):
             return DivisorClass._unchecked(tuple(n * a for a in self.coeffs))
-        from fractions import Fraction
-
-        if isinstance(n, Fraction):
-            return QDivisorClass(tuple(n * a for a in self.coeffs))
         return NotImplemented
 
     __mul__ = __rmul__
-
-    def as_q(self) -> "QDivisorClass":
-        return QDivisorClass(self.coeffs)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
@@ -172,7 +163,8 @@ class DivisorClass(_FrozenRecord):
 
 
 class QDivisorClass(_FrozenRecord):
-    """Exact-rational class in the standard basis (Mumford pullbacks live here)."""
+    """Exact-rational class in the standard basis (Mumford pullbacks live here).
+    A value that pairs, converts and serializes; it has no arithmetic."""
 
     __slots__ = ("coeffs",)
 
@@ -185,27 +177,6 @@ class QDivisorClass(_FrozenRecord):
             if type(c) is not Fraction and (isinstance(c, bool) or not isinstance(c, (int, Fraction))):
                 raise TypeError(f"expected exact integer/rational coefficient, got {c!r}")
         object.__setattr__(self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
-
-    def __add__(self, other):
-        if isinstance(other, (DivisorClass, QDivisorClass)):
-            oc = other.coeffs
-            return QDivisorClass(tuple(a + b for a, b in zip(self.coeffs, oc)))
-        return NotImplemented
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return QDivisorClass(tuple(-a for a in self.coeffs))
-
-    def __rmul__(self, n):
-        from fractions import Fraction
-
-        if isinstance(n, (int, Fraction)):
-            return QDivisorClass(tuple(n * a for a in self.coeffs))
-        return NotImplemented
-
-    __mul__ = __rmul__
 
     def __str__(self) -> str:
         return render_class(self.coeffs)

@@ -122,9 +122,9 @@ def perm_automorphism(s: tuple[int, int, int, int]) -> LatticeAutomorphism:
     extends s by fixing 5.
 
     `s` is a permutation of {1,2,3,4}, given as the one-line tuple
-    (s(1), s(2), s(3), s(4)).
+    (s(1), s(2), s(3), s(4)) of ints; a bool is not read as 1.
     """
-    if not isinstance(s, tuple) or sorted(s) != [1, 2, 3, 4]:
+    if not isinstance(s, tuple) or any(type(i) is not int for i in s) or sorted(s) != [1, 2, 3, 4]:
         raise ValueError(f"not a permutation of 1..4: {s}")
     return _s5_automorphism((*s, 5), name=f"perm:{''.join(map(str, s))}")
 
@@ -132,9 +132,10 @@ def perm_automorphism(s: tuple[int, int, int, int]) -> LatticeAutomorphism:
 def cremona_automorphism(base: set[int] | frozenset[int] | tuple[int, ...]) -> LatticeAutomorphism:
     """Quadratic involution based at three points: L -> 2L - Ei - Ej - Ek,
     Ei -> L - Ej - Ek for i in the base, the remaining class fixed.  It is
-    the transposition of the point outside the base with 5."""
+    the transposition of the point outside the base with 5.  The points are
+    ints; a bool is not read as 1."""
     base = frozenset(base)
-    if len(base) != 3 or not base <= {1, 2, 3, 4}:
+    if len(base) != 3 or not base <= {1, 2, 3, 4} or any(type(i) is not int for i in base):
         raise ValueError(f"base must be a 3-subset of {{1,2,3,4}}, got {set(base)}")
     [m] = {1, 2, 3, 4} - base
     s = tuple(5 if i == m else m if i == 5 else i for i in range(1, 6))

@@ -28,6 +28,7 @@ from .lattice import (
     DivisorClass,
     ZERO,
     canonical_class,
+    from_curve_basis,
     get_configuration,
     intersect,
     parse_class_label,
@@ -190,11 +191,7 @@ def _check_pullbacks():
     bad = []
     for cfg_name, rep_curve, expected in PULLBACK_GOLDENS:
         cfg = get_configuration(cfg_name)
-        rep = parse_class_label(
-            "".join(f"{c:+d}{s}" for c, s in zip(rep_curve, ("l", "e1", "e2", "e3", "e4")) if c),
-            cfg,
-            "curve",
-        )
+        rep = from_curve_basis(rep_curve, cfg)
         pulled = contraction.mumford_pullback(contraction.SigmaClass(rep, cfg))
         got = tuple(str(x) for x in to_curve_basis(pulled, cfg))
         want = tuple(str(Fraction(x)) for x in expected)

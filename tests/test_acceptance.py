@@ -264,7 +264,7 @@ def test_criterion_09_property_suites():
     report("Gram identity for all 120 automorphisms, 1000 random pullbacks per configuration "
            "orthogonal to the contracted curves, empty movable-class scan, both ramification contradictions")
     # The h0-vs-plane-sections oracle agreement on the 150-class grid runs in
-    # tests/test_cohomology.py with the rank computations done by sympy.
+    # tests/test_cohomology.py with the ranks computed by its own Fraction elimination.
 
 
 def test_criterion_10_end_to_end_verify():

@@ -74,7 +74,7 @@ def box_table(case: str, bound: int) -> tuple[SolutionRow, ...]:
     system = CONSTRAINT_SYSTEMS[case]
     by_quadratic = {}
     for z in itertools.product(range(1, bound + 1), repeat=system.chain_length):
-        if system.tie_break_holds(z) and system.min_bound_holds(z) and system.chain_inequalities_hold(z):
+        if system.tie_break_holds(z) and system.chain_inequalities_hold(z):
             by_quadratic.setdefault(system.chain_quadratic(z), []).append(z)
     rows = []
     for l_sq in system.L_SQ_RANGE:

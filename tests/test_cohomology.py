@@ -1,9 +1,9 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from delpezzo.cohomology import (
@@ -214,8 +214,6 @@ def test_wide_h0_trace_matches_the_one_curve_loop(v, name):
 
 
 def test_h0_of_a_q_class_needs_integral_coefficients():
-    from fractions import Fraction
-
     assert h0(QDivisorClass((2, -1, 0, 0, 0)), GENERAL) == 5
     for coeffs in [(Fraction(3, 2), Fraction(-1, 2), 0, 0, 0), (Fraction(1, 2), Fraction(3, 2), 0, 0, 0)]:
         with pytest.raises(ValueError, match="non-integral"):
@@ -254,6 +252,22 @@ def _assert_general_position():
 _assert_general_position()
 
 
+def fraction_rank(rows) -> int:
+    """Rank over the rationals by Gaussian elimination on `Fraction`s."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for r in range(rank + 1, len(a)):
+            f = a[r][col] / a[rank][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
 def plane_sections_oracle(a: int, mults: tuple[int, int, int, int]) -> int:
     monomials = [(i, j) for i in range(a + 1) for j in range(a + 1 - i)]
     rows = []
@@ -263,16 +277,15 @@ def plane_sections_oracle(a: int, mults: tuple[int, int, int, int]) -> int:
                 row = []
                 for (i, j) in monomials:
                     if i < dx or j < dy:
-                        row.append(sympy.Integer(0))
+                        row.append(0)
                     else:
                         c = (
                             math.factorial(i) // math.factorial(i - dx)
                             * (math.factorial(j) // math.factorial(j - dy))
                         )
-                        row.append(sympy.Integer(c) * sympy.Integer(px) ** (i - dx) * sympy.Integer(py) ** (j - dy))
+                        row.append(c * px ** (i - dx) * py ** (j - dy))
                 rows.append(row)
-    rank = sympy.Matrix(rows).rank() if rows else 0
-    return len(monomials) - rank
+    return len(monomials) - fraction_rank(rows)
 
 
 def _sample_grid(limit=150):

@@ -26,6 +26,7 @@ from delpezzo.lattice import (
     CONFIGURATIONS,
     MINUS_K,
     DivisorClass,
+    QDivisorClass,
     _curve_to_standard_matrix,
     _standard_to_curve_matrix,
     intersect,
@@ -147,11 +148,11 @@ def test_basis_changes_are_mutual_inverses(name):
 
 def oracle_pullback(rep, cfg):
     thetas = [t.cls for t in minus_two_curves(cfg)]
-    result = rep.as_q()
+    coeffs = [Fraction(a) for a in rep.coeffs]
     gram = [[intersect(a, b) for b in thetas] for a in thetas]
     for x, theta in zip(gauss_jordan_solve(gram, [-intersect(rep, t) for t in thetas]), thetas):
-        result = result + x * theta
-    return result
+        coeffs = [a + x * b for a, b in zip(coeffs, theta.coeffs)]
+    return QDivisorClass(tuple(coeffs))
 
 
 def oracle_is_combination(d, cfg):

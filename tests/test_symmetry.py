@@ -82,7 +82,7 @@ def test_named_automorphisms_match_the_column_image_construction():
 
 
 @pytest.mark.parametrize("s", [(1, 2, 3), (1, 1, 2, 3), (1, 2, 3, 5), (0, 1, 2, 3, 4),
-                               {1: 2, 2: 1, 3: 3, 4: 4}])
+                               {1: 2, 2: 1, 3: 3, 4: 4}, (True, 2, 4, 3), (1.0, 2, 4, 3)])
 def test_perm_automorphism_takes_only_a_one_line_permutation(s):
     with pytest.raises(ValueError) as raised:
         perm_automorphism(s)
@@ -293,6 +293,9 @@ def test_cremona_rejects_bad_base():
         cremona_automorphism({1, 2})
     with pytest.raises(ValueError):
         cremona_automorphism({1, 2, 5})
+    for base in ({True, 2, 3}, {1.0, 2, 3}):  # equal to 1, but not a point
+        with pytest.raises(ValueError):
+            cremona_automorphism(base)
 
 
 def test_gram_violating_matrix_rejected():
